@@ -18,7 +18,8 @@ from .expressions import add, const, is_polynomial, mul, simplify, var
 from .chern import connection_data, curvature_components
 from .sode import (
     JetPoint1, SodeSystem, as_expr, eval_array, expr_array, max_abs,
-    point_batch, sample_points, splitting_curvature, zero_symbolically, _diff,
+    numeric_rank, point_batch, sample_points, splitting_curvature,
+    zero_symbolically, _diff,
 )
 
 __all__ = [
@@ -161,16 +162,6 @@ def curvature_span_matrices(s: SodeSystem):
     return out
 
 
-def _numeric_rank(rows, tol=1e-8):
-    if not rows:
-        return 0, np.zeros(0)
-    m = np.vstack(rows)
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals.size == 0 or svals[0] < 1e-12:
-        return 0, svals
-    return int(np.sum(svals > tol * svals[0])), svals
-
-
 def holonomy_span(s: SodeSystem, p: JetPoint1, tol=1e-8) -> int:
     """Rank of the span of the curvature endomorphisms at p, as vectors in
     n^2 space.  Rank n^2 certifies the full general linear algebra at p;
@@ -179,7 +170,7 @@ def holonomy_span(s: SodeSystem, p: JetPoint1, tol=1e-8) -> int:
     values = [env[name] for name in s.vars.names]
     rows = [eval_array(M, s.vars.names, values).reshape(-1)
             for _, M in curvature_span_matrices(s)]
-    rank, _ = _numeric_rank(rows, tol)
+    rank, _ = numeric_rank(rows, tol)
     return rank
 
 

@@ -269,6 +269,10 @@ class Problem:
                                 "random sampling requires a seed",
                                 "samples.seed")
         count = int(spec.get("count", 25))
+        if count < 1:
+            raise CliInputError("validation",
+                                "samples.count must be at least 1",
+                                "samples.count")
         return sample_points(self.vars, count, int(spec["seed"]),
                              self._box_override())
 

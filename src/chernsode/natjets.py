@@ -22,6 +22,7 @@ stands for the equation value x''^i.  This module provides:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +35,7 @@ from .expressions import (
 )
 from .sode import (
     HALF, QUARTER, JetPoint1, SodeSystem, as_expr, eval_array, expr_array,
-    _diff,
+    numeric_rank, _diff,
 )
 
 __all__ = [
@@ -325,6 +326,23 @@ class UJet:
                     out.append(evaluate(e, env))
         return out
 
+    def random_values(self, count, seed, degree=4):
+        """Placeholder values of `count` random centered polynomial fields
+        u^i(y) = sum_{|alpha| <= degree} c_{i,alpha} (y - p)^alpha at the base
+        point p, one row per field, drawn from one seeded stream.  The
+        coefficients are integers in [-8, 8] over 8, as in
+        random_polynomial_field; the (i, combo) entry is alpha! c_{i,alpha},
+        and 0 where |alpha| > degree."""
+        rng = np.random.default_rng(seed)
+        scale = np.array([
+            math.prod(math.factorial(combo.count(d)) for d in set(combo))
+            if len(combo) <= degree else 0
+            for (_, combo) in self.index])
+        kept = scale > 0
+        out = np.zeros((count, len(scale)))
+        out[:, kept] = rng.integers(-8, 9, size=(count, int(kept.sum()))) / 8.0
+        return out * scale
+
     def substitution_for(self, u):
         """Placeholder -> derivative expression of a concrete field."""
         out = {}
@@ -544,38 +562,35 @@ def random_polynomial_field(vars, seed, degree=4):
     return tuple(u)
 
 
-def _rank_with_values(rows, rel_tol=1e-8):
-    m = np.vstack(rows)
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals.size == 0 or svals[0] < 1e-12:
-        return 0, svals
-    return int(np.sum(svals > rel_tol * svals[0])), svals
+def _field_jet_span(s: SodeSystem, p: JetPoint1, order, sample_count, seed,
+                    degree):
+    """numeric_rank of the matrix whose rows are the coefficients, on the
+    coordinates `order`, of prolonged random fields (UJet.random_values) at
+    the jet of s at p; one batched evaluation per coefficient."""
+    js = jet_space(s.vars)
+    ujet, generic = generic_prolongation(s.vars)
+    env = jet2_of(s, p).env(s.vars)
+    draws = ujet.random_values(sample_count, seed, degree)
+    coeffs = expr_array(len(order))
+    for k, name in enumerate(order):
+        coeffs[k] = generic.get(name, ZERO)
+    values = [env[name] for name in js.all_coords] + list(draws.T)
+    cols = eval_array(coeffs, js.all_coords + tuple(ujet.names), values)
+    return numeric_rank(cols.T)
 
 
 def distribution_span(n, s: SodeSystem, p: JetPoint1, sample_count=None,
                       seed=2024, degree=4):
     """Singular values of the matrix whose rows are full coefficient vectors
     of prolonged vertical fields at the jet of s at p (the t-component is
-    identically zero and omitted).  Fields are random polynomials of the
-    given degree; their 4-jets at the base point enter the precompiled
-    generic coefficients."""
-    js = jet_space(s.vars)
-    order = js.all_coords[1:]  # drop t
+    identically zero and omitted).  The fields are seeded random 4-jets:
+    centered polynomial fields of the given degree at the base point, whose
+    derivatives enter the precompiled generic coefficients directly.  The
+    `svd_gap` of a `jets` report is the ratio of two of these values."""
+    order = jet_space(s.vars).all_coords[1:]  # drop t
     if sample_count is None:
         sample_count = len(order) + 10
-    ujet, generic = generic_prolongation(s.vars)
-    names = js.all_coords + tuple(ujet.names)
-    env = jet2_of(s, p).env(s.vars)
-    jet_values = [env[name] for name in js.all_coords]
-    base_env = p.env(s.vars)
-    fns = [compile_expr(as_expr(generic.get(name, ZERO)), names)
-           for name in order]
-    rows = []
-    for k in range(sample_count):
-        u = random_polynomial_field(s.vars, seed=seed * 100003 + k, degree=degree)
-        values = jet_values + ujet.values_for(u, base_env)
-        rows.append(np.array([fn(values) for fn in fns], dtype=float))
-    return _rank_with_values(rows)
+    return _field_jet_span(s, p, order, sample_count, seed, degree)
 
 
 def distribution_rank(n, s: SodeSystem, p: JetPoint1, sample_count=None,
@@ -592,19 +607,7 @@ def order0_distribution_rank(n, s: SodeSystem, p: JetPoint1,
     order = js.base[1:] + js.values
     if sample_count is None:
         sample_count = len(order) + 8
-    ujet, generic = generic_prolongation(s.vars)
-    names = js.all_coords + tuple(ujet.names)
-    env = jet2_of(s, p).env(s.vars)
-    jet_values = [env[name] for name in js.all_coords]
-    base_env = p.env(s.vars)
-    fns = [compile_expr(as_expr(generic.get(name, ZERO)), names)
-           for name in order]
-    rows = []
-    for k in range(sample_count):
-        u = random_polynomial_field(s.vars, seed=seed * 7919 + k, degree=2)
-        values = jet_values + ujet.values_for(u, base_env)
-        rows.append(np.array([fn(values) for fn in fns], dtype=float))
-    rank, _ = _rank_with_values(rows)
+    rank, _ = _field_jet_span(s, p, order, sample_count, seed, degree=2)
     return rank
 
 
@@ -625,7 +628,7 @@ def curvature_kernel_dim(s: SodeSystem, p: JetPoint1, rel_tol=1e-8) -> int:
         for c, name in enumerate(js.fiber):
             grad[c] = _diff(as_expr(y), name)
         rows.append(eval_array(grad, js.all_coords, values))
-    rank, _ = _rank_with_values(rows, rel_tol)
+    rank, _ = numeric_rank(rows, rel_tol)
     return len(js.fiber) - rank
 
 

@@ -140,12 +140,24 @@ def eval_array(M, names, values) -> np.ndarray:
     """Evaluate an object array of Expr entry-wise; `values` is a sequence of
     scalars or numpy arrays aligned with `names` (arrays give a batch axis)."""
     M = np.asarray(M, dtype=object)
-    batch = any(isinstance(v, np.ndarray) and v.ndim for v in values)
-    k = len(values[0]) if batch else None
-    out = np.zeros(M.shape + ((k,) if batch else ()))
+    arrays = [v for v in values if isinstance(v, np.ndarray) and v.ndim]
+    out = np.zeros(M.shape + ((len(arrays[0]),) if arrays else ()))
     for idx in np.ndindex(M.shape):
         out[idx] = compile_expr(as_expr(M[idx]), names)(values)
     return out
+
+
+def numeric_rank(rows, tol=1e-8):
+    """(rank, singular values) of the matrix stacked from `rows`: singular
+    values above tol times the largest count, and a matrix whose largest
+    singular value is below 1e-12 has rank 0."""
+    if not len(rows):
+        return 0, np.zeros(0)
+    m = np.vstack(rows)
+    svals = np.linalg.svd(m, compute_uv=False)
+    if svals.size == 0 or svals[0] < 1e-12:
+        return 0, svals
+    return int(np.sum(svals > tol * svals[0])), svals
 
 
 def point_batch(vars: VarSet, points) -> list:

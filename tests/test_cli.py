@@ -172,6 +172,15 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["location"] == "variables.parameters"
 
+    @pytest.mark.parametrize("task", ["jets", "classify"])
+    def test_zero_sample_count_exit_2(self, tmp_path, capsys, task):
+        payload = dict(OSC)
+        payload["samples"] = {"mode": "random", "count": 0, "seed": 7}
+        assert main([task, write(tmp_path, payload)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "validation"
+        assert err["location"] == "samples.count"
+
 
 def test_byte_identical_reports(tmp_path):
     spec = write(tmp_path, OSC)

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from chernsode.expressions import VarSet, add, const, mul, parse, simplify, var
 from chernsode.natjets import (
-    MissingInverse, VerticalAutomorphism, compose, curvature_kernel_dim,
-    curvature_mapping, curvature_mapping_exprs, distribution_span,
-    identity_automorphism, infinitesimal_equivariance, jet2_of, jet_space,
-    jet_substitution, order0_distribution_rank, prolong1,
+    MissingInverse, UJet, VerticalAutomorphism, compose,
+    curvature_kernel_dim, curvature_mapping, curvature_mapping_exprs,
+    distribution_span, identity_automorphism, infinitesimal_equivariance,
+    jet2_of, jet_space, jet_substitution, order0_distribution_rank, prolong1,
     prolong_vertical_field, push_sode_symbolic, push_sode_value,
     pushed_jet2, random_automorphism, random_polynomial_field,
     verify_functoriality,
@@ -321,6 +323,42 @@ class TestRanks:
             s = random_polynomial_sode(n, seed=200 + n)
             p = sample_points(s.vars, 1, seed=2)[0]
             assert curvature_kernel_dim(s, p) == expected
+
+
+class TestRandomFieldJets:
+    """The drawn placeholder rows are the jets of the explicit centered
+    polynomials sum c_{i,alpha} (y - p)^alpha, recomputed symbolically."""
+
+    @pytest.mark.parametrize("n,degree", [(1, 4), (1, 2), (2, 4), (2, 2)])
+    def test_draw_matches_symbolic_jet(self, n, degree):
+        vars = VarSet.default(n)
+        ujet = UJet(vars)
+        p = sample_points(vars, 1, seed=40 + n)[0]
+        env = p.env(vars)
+        base = (vars.time,) + tuple(vars.positions)
+        draws = ujet.random_values(3, seed=12 + degree, degree=degree)
+        assert draws.shape == (3, len(ujet.names))
+        for row in draws:
+            u = [[] for _ in range(n)]
+            for (i, combo), value in zip(ujet.index, row):
+                if len(combo) > degree:
+                    continue
+                alpha_factorial = 1
+                for d in base:
+                    alpha_factorial *= math.factorial(combo.count(d))
+                c = value / alpha_factorial
+                assert c * 8 == round(c * 8) and abs(c) <= 1
+                u[i].append(mul(c, *[add(var(d), -env[d]) for d in combo]))
+            field = tuple(add(*terms) for terms in u)
+            symbolic = np.array(ujet.values_for(field, env))
+            scale = max(1.0, float(np.max(np.abs(row))))
+            assert np.max(np.abs(symbolic - row)) <= 1e-12 * scale
+
+    def test_seeded(self):
+        ujet = UJet(V2)
+        a = ujet.random_values(4, seed=5)
+        assert np.array_equal(a, ujet.random_values(4, seed=5))
+        assert not np.array_equal(a, ujet.random_values(4, seed=6))
 
 
 class TestAutomorphisms:
