@@ -168,6 +168,9 @@ class Problem:
     def _parse_vars(self, spec):
         if spec is None:
             return VarSet.default(self.n)
+        if not isinstance(spec, dict):
+            raise CliInputError("validation", "variables must be an object",
+                                "variables")
         if spec.get("parameters"):
             # sampling assigns no values to parameters; require numeric F
             raise CliInputError("validation",

@@ -597,6 +597,13 @@ def fd_diff(e: Expr, name: str, env, h: float = 1e-4) -> float:
 # is identically zero collapses to the literal 0.  Term order: atoms sorted by
 # canonical string, monomials lexicographically by their (atom, exponent)
 # sequence, then total degree -- fixed so golden outputs are stable.
+#
+# Working form, alive for one simplify/is_polynomial call: a polynomial is a
+# pair (terms, den) mapping each monomial to a nonzero integer numerator over
+# one positive common denominator; Fractions are built only by from_poly.  A
+# monomial is a tuple of (atom key, exponent) pairs sorted by key, the key of
+# an atom being its canonical string.  An _Expansion maps the keys back to
+# atoms and expands each compound node once.
 
 _simplify_cache: dict = {}
 
@@ -604,52 +611,76 @@ _simplify_cache: dict = {}
 def simplify(e: Expr) -> Expr:
     out = _simplify_cache.get(e)
     if out is None:
-        out = _from_poly(_to_poly(e))
+        expansion = _Expansion()
+        out = expansion.from_poly(expansion.to_poly(e))
         _simplify_cache[e] = out
         _simplify_cache[out] = out
     return out
 
 
-def _atom_mono(atom: Expr, exp: int = 1):
-    return {((to_string(atom), atom, exp),): Fraction(1)}
+_POLY_ONE = ({(): 1}, 1)
 
 
-def _poly_add(p, q):
-    out = dict(p)
-    for m, c in q.items():
-        s = out.get(m, Fraction(0)) + c
+def _reduced(terms, den):
+    """Cancel the common factor of all numerators and the denominator."""
+    g = math.gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {m: c // g for m, c in terms.items()}, den // g
+
+
+def _poly_add(acc, terms, scale):
+    """acc += scale * terms, in place; monomials that cancel are dropped."""
+    for m, c in terms.items():
+        s = acc.get(m, 0) + scale * c
         if s:
-            out[m] = s
-        elif m in out:
-            del out[m]
-    return out
+            acc[m] = s
+        else:
+            del acc[m]
 
 
 def _mono_mul(m1, m2):
-    exps = {}
-    order = {}
-    for key, atom, exp in m1 + m2:
-        exps[key] = exps.get(key, 0) + exp
-        order[key] = atom
-    return tuple(sorted((k, order[k], e) for k, e in exps.items() if e != 0))
+    """Merge two monomials, each sorted by atom key."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, b = m1[i], m2[j]
+        if a[0] < b[0]:
+            out.append(a)
+            i += 1
+        elif b[0] < a[0]:
+            out.append(b)
+            j += 1
+        else:
+            exp = a[1] + b[1]
+            if exp:
+                out.append((a[0], exp))
+            i += 1
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def _poly_mul(p, q):
+    (pt, pd), (qt, qd) = p, q
     out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
+    for m1, c1 in pt.items():
+        for m2, c2 in qt.items():
             m = _mono_mul(m1, m2)
-            c = c1 * c2
-            s = out.get(m, Fraction(0)) + c
+            s = out.get(m, 0) + c1 * c2
             if s:
                 out[m] = s
-            elif m in out:
+            else:
                 del out[m]
-    return out
+    return out, pd * qd
 
 
 def _poly_pow(p, k):
-    out = {(): Fraction(1)}
+    out = _POLY_ONE
     base = p
     while k:
         if k & 1:
@@ -660,45 +691,101 @@ def _poly_pow(p, k):
     return out
 
 
-def _to_poly(e: Expr):
-    if isinstance(e, Const):
-        return {(): e.value} if e.value else {}
-    if isinstance(e, Var):
-        return _atom_mono(e)
-    if isinstance(e, Add):
-        out = {}
-        for t in e.terms:
-            out = _poly_add(out, _to_poly(t))
+def _inverse_power(c, den, k):
+    """(den/c)^k, the value of (c/den)^(-k), as (numerator, denominator > 0)."""
+    num, d = den ** k, c ** k
+    return (-num, -d) if d < 0 else (num, d)
+
+
+class _Expansion:
+    """State of one simplify/is_polynomial call: the atom behind each
+    monomial key, and the polynomial of every compound node expanded so far
+    (subtrees shared by several parents are expanded once)."""
+
+    __slots__ = ("atoms", "memo")
+
+    def __init__(self):
+        self.atoms = {}
+        self.memo = {}
+
+    def key(self, atom):
+        """The monomial key of atom (its canonical string), registered."""
+        key = to_string(atom)
+        self.atoms.setdefault(key, atom)
+        return key
+
+    def atom_mono(self, atom, exp=1):
+        return {((self.key(atom), exp),): 1}, 1
+
+    def to_poly(self, e):
+        if isinstance(e, Const):
+            v = e.value
+            return ({(): v.numerator} if v else {}), v.denominator
+        if isinstance(e, Var):
+            return self.atom_mono(e)
+        out = self.memo.get(e)
+        if out is None:
+            out = self.memo[e] = self._expand(e)
         return out
-    if isinstance(e, Mul):
-        out = {(): Fraction(1)}
-        for f in e.factors:
-            out = _poly_mul(out, _to_poly(f))
-        return out
-    if isinstance(e, Pow):
-        p = _to_poly(e.base)
-        if e.exponent >= 0:
-            return _poly_pow(p, e.exponent)
-        if not p:
-            raise ZeroDivisionError("simplify: division by an identically-zero base")
-        if len(p) == 1:
-            ((m, c),) = p.items()
-            inv_m = tuple((k, a, x * e.exponent) for k, a, x in m)
-            return {inv_m: c ** e.exponent}
-        # normalise by the leading coefficient so scalar multiples of the
-        # same denominator polynomial share one atom
-        lead = min(p, key=_mono_sort_key)
-        c0 = p[lead]
-        monic = {m: c / c0 for m, c in p.items()}
-        out = _atom_mono(_from_poly(monic), e.exponent)
-        return {m: c * c0 ** e.exponent for m, c in out.items()}
-    if isinstance(e, Call):
-        arg = _from_poly(_to_poly(e.arg))
-        folded = _fold_call(e.func, arg)
-        if folded is not None:
-            return _to_poly(folded)
-        return _atom_mono(Call(e.func, arg))
-    raise TypeError(f"cannot simplify {type(e).__name__}")
+
+    def _expand(self, e):
+        if isinstance(e, Add):
+            polys = [self.to_poly(t) for t in e.terms]
+            den = math.lcm(*(d for _, d in polys))
+            acc = {}
+            for terms, d in polys:
+                _poly_add(acc, terms, den // d)
+            return _reduced(acc, den)
+        if isinstance(e, Mul):
+            out = _POLY_ONE
+            for f in e.factors:
+                out = _poly_mul(out, self.to_poly(f))
+            return _reduced(*out)
+        if isinstance(e, Pow):
+            terms, den = self.to_poly(e.base)
+            if e.exponent >= 0:
+                return _reduced(*_poly_pow((terms, den), e.exponent))
+            if not terms:
+                raise ZeroDivisionError("simplify: division by an identically-zero base")
+            if len(terms) == 1:
+                ((m, c),) = terms.items()
+                inv_m = tuple((key, x * e.exponent) for key, x in m)
+                num, d = _inverse_power(c, den, -e.exponent)
+                return _reduced({inv_m: num}, d)
+            # normalise by the leading coefficient so scalar multiples of the
+            # same denominator polynomial share one atom
+            lead = min(terms, key=_mono_sort_key)
+            c0 = terms[lead]
+            sign = 1 if c0 > 0 else -1
+            monic = self.from_poly(({m: sign * c for m, c in terms.items()},
+                                    sign * c0))
+            num, d = _inverse_power(c0, den, -e.exponent)
+            return _reduced({((self.key(monic), e.exponent),): num}, d)
+        if isinstance(e, Call):
+            arg = self.from_poly(self.to_poly(e.arg))
+            folded = _fold_call(e.func, arg)
+            if folded is not None:
+                return self.to_poly(folded)
+            return self.atom_mono(Call(e.func, arg))
+        raise TypeError(f"cannot simplify {type(e).__name__}")
+
+    def from_poly(self, p) -> Expr:
+        terms, den = p
+        if not terms:
+            return ZERO
+        out = []
+        for mono in sorted(terms, key=_mono_sort_key):
+            c = Fraction(terms[mono], den)
+            factors = [pow_(self.atoms[key], exp) for key, exp in mono]
+            if not factors:
+                out.append(Const(c))
+            elif c == 1:
+                out.append(mul(*factors) if len(factors) > 1 else factors[0])
+            else:
+                out.append(mul(Const(c), *factors))
+        if len(out) == 1:
+            return out[0]
+        return Add(tuple(out))
 
 
 def _fold_call(func, arg):
@@ -722,39 +809,19 @@ def _fold_call(func, arg):
 
 
 def _mono_sort_key(mono):
-    return (tuple((k, e) for k, _, e in mono), sum(e for _, _, e in mono))
-
-
-def _from_poly(p) -> Expr:
-    if not p:
-        return ZERO
-    terms = []
-    for mono in sorted(p, key=_mono_sort_key):
-        c = p[mono]
-        factors = [pow_(atom, exp) for _, atom, exp in mono]
-        if not factors:
-            terms.append(Const(c))
-        elif c == 1:
-            terms.append(mul(*factors) if len(factors) > 1 else factors[0])
-        else:
-            terms.append(mul(Const(c), *factors))
-    if len(terms) == 1:
-        return terms[0]
-    return Add(tuple(terms))
+    return (mono, sum(exp for _, exp in mono))
 
 
 def is_polynomial(e: Expr) -> bool:
     """True when e expands to a polynomial (no function atoms, no negative
     powers) in its variables."""
+    expansion = _Expansion()
     try:
-        p = _to_poly(e)
+        terms, _ = expansion.to_poly(e)
     except ZeroDivisionError:
         return False
-    for mono in p:
-        for _, atom, exp in mono:
-            if exp < 0 or not isinstance(atom, Var):
-                return False
-    return True
+    return all(exp > 0 and isinstance(expansion.atoms[key], Var)
+               for mono in terms for key, exp in mono)
 
 
 # --------------------------------------------------------------------------
@@ -860,6 +927,8 @@ _NP_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
 
 _compile_cache: dict = {}
 
+_CHAIN = 64     # most operands on one emitted line of compile_expr
+
 
 def compile_expr(e: Expr, names):
     """Compile to f(values) where values is a sequence (scalars or numpy
@@ -876,8 +945,14 @@ def compile_expr(e: Expr, names):
     seen = {}
     counter = 0
 
-    def emit(node):
+    def assign(text):
         nonlocal counter
+        ref = f"t{counter}"
+        counter += 1
+        lines.append(f"    {ref} = {text}")
+        return ref
+
+    def emit(node):
         ref = seen.get(node)
         if ref is not None:
             return ref
@@ -885,18 +960,20 @@ def compile_expr(e: Expr, names):
             ref = repr(float(node.value))
         elif isinstance(node, Var):
             ref = f"V[{index[node.name]}]"
-        else:
+        elif isinstance(node, (Add, Mul)):
             if isinstance(node, Add):
-                text = " + ".join(emit(t) for t in node.terms)
-            elif isinstance(node, Mul):
-                text = " * ".join(emit(f) for f in node.factors)
-            elif isinstance(node, Pow):
-                text = f"{emit(node.base)} ** ({node.exponent})"
+                op, refs = " + ", [emit(t) for t in node.terms]
             else:
-                text = f"_{node.func}({emit(node.arg)})"
-            ref = f"t{counter}"
-            counter += 1
-            lines.append(f"    {ref} = {text}")
+                op, refs = " * ", [emit(f) for f in node.factors]
+            # a running partial result every _CHAIN operands keeps each line
+            # shallow for the Python compiler; the left-to-right order stays
+            ref = assign(op.join(refs[:_CHAIN]))
+            for k in range(_CHAIN, len(refs), _CHAIN - 1):
+                ref = assign(op.join([ref] + refs[k:k + _CHAIN - 1]))
+        elif isinstance(node, Pow):
+            ref = assign(f"{emit(node.base)} ** ({node.exponent})")
+        else:
+            ref = assign(f"_{node.func}({emit(node.arg)})")
         seen[node] = ref
         return ref
 

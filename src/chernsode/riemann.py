@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expr, add, const, free_variables, mul, simplify, var
+from .expressions import (
+    Expr, add, const, free_variables, mul, pow_, simplify, var,
+)
 from .sode import (
     HALF, SodeSystem, as_expr, eval_array, expr_array, max_abs,
     point_batch, sample_points, splitting_curvature, zero_symbolically, _diff,
@@ -120,20 +122,15 @@ def _inverse(metric: MetricField):
         raise SingularMetric("metric determinant is identically zero")
     inv = expr_array((n, n))
     if n == 1:
-        inv[0, 0] = mul(const(1), pow_safe(det, -1))
+        inv[0, 0] = mul(const(1), pow_(det, -1))
         return inv
     for i in range(n):
         for j in range(n):
             minor = [[m[r][c] for c in range(n) if c != j]
                      for r in range(n) if r != i]
             cof = mul(const((-1) ** (i + j)), _det(minor))
-            inv[j, i] = mul(cof, pow_safe(det, -1))
+            inv[j, i] = mul(cof, pow_(det, -1))
     return inv
-
-
-def pow_safe(e: Expr, k: int) -> Expr:
-    from .expressions import pow_
-    return pow_(e, k)
 
 
 def christoffel(metric: MetricField) -> np.ndarray:

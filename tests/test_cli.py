@@ -181,6 +181,21 @@ class TestMainExitCodes:
         assert err["kind"] == "validation"
         assert err["location"] == "samples.count"
 
+    @pytest.mark.parametrize("variables", ["abc", ["t", "x1", "v1"]])
+    def test_non_object_variables_exit_2(self, tmp_path, capsys, variables):
+        payload = dict(OSC, variables=variables)
+        assert main(["analyze", write(tmp_path, payload)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "validation"
+        assert err["location"] == "variables"
+
+    def test_analyze_dense_n2(self, tmp_path, capsys, dense2_F):
+        # its Kosambi coefficients and their compiled sums run to 3375 terms
+        payload = {"dimension": 2, "F": dense2_F,
+                   "samples": {"mode": "random", "count": 20, "seed": 5}}
+        assert main(["analyze", write(tmp_path, payload)]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
 
 def test_byte_identical_reports(tmp_path):
     spec = write(tmp_path, OSC)

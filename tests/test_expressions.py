@@ -1,15 +1,20 @@
+import functools
+import hashlib
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chernsode.classify import kosambi_invariants
 from chernsode.expressions import (
-    DomainError, ParseError, UnknownIdentifier, VarSet, add, call,
+    Add, DomainError, ParseError, UnknownIdentifier, VarSet, add, call,
     compile_expr, const, diff, evaluate, fd_diff, free_variables,
     is_polynomial, mul, neg, parse, pow_, simplify, substitute, to_string,
     var,
 )
+from chernsode.sode import SodeSystem
 
 VARS = VarSet(time="t", positions=("x1", "x2"), velocities=("v1", "v2"))
 
@@ -232,3 +237,69 @@ def test_varset_validation():
     vs = VarSet.default(2)
     assert vs.names == ("t", "x1", "x2", "v1", "v2")
     assert vs.role("v2") == "velocity"
+
+
+def test_compile_wide_sum_left_to_right():
+    # one emitted line per term would exceed the compiler's nesting limit
+    names = VARS.names
+    terms = [mul(const(Fraction(k % 13 - 6, k % 7 + 1)),
+                 pow_(var(names[k % 5]), k % 4 + 1), var(names[(k + 2) % 5]))
+             for k in range(5000)]
+    rng = np.random.default_rng(3)
+    batch = [rng.uniform(-1.5, 1.5, 16) for _ in names]
+    got = compile_expr(add(*terms), names)(batch)
+    want = functools.reduce(operator.add,
+                            (compile_expr(t, names)(batch) for t in terms))
+    assert np.array_equal(got, want)
+
+
+def test_compile_wide_product_left_to_right():
+    names = VARS.names
+    factors = [add(const(1), mul(const(Fraction(k % 9 - 4, 4096)),
+                                 var(names[k % 5])))
+               for k in range(5000)]
+    rng = np.random.default_rng(4)
+    batch = [rng.uniform(-1.5, 1.5, 16) for _ in names]
+    got = compile_expr(mul(*factors), names)(batch)
+    want = functools.reduce(operator.mul,
+                            (compile_expr(f, names)(batch) for f in factors))
+    assert np.array_equal(got, want)
+
+
+class TestNormalForm:
+    """Pinned outputs of the canonical form, so that a change to it cannot
+    reorder terms or rewrite coefficients unnoticed."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("sin(x1)^2*cos(x2) + 2*sin(x1)*v1 - cos(x2)*sin(x1)^2"
+         " + exp(t)*x1*exp(t)",
+         "exp(t)^2*x1 + 2*sin(x1)*v1"),
+        ("cos(x1 + x2)*(sin(v1) - 1)^2 - sin(v1)^2*cos(x2 + x1)",
+         "cos(x1 + x2) - 2*cos(x1 + x2)*sin(v1)"),
+        ("(1 + x1^2)^(-2)*(2*x1 + 2*x1^3) + 3/(2*v1 + 4*x2)"
+         " - v1/(x2 + 1/2*v1)",
+         "2*(1 + x1^2)^(-2)*x1 + 2*(1 + x1^2)^(-2)*x1^3"
+         " - 2*v1*(v1 + 2*x2)^(-1) + 3/2*(v1 + 2*x2)^(-1)"),
+        ("(x1 + v1)^3*(x1 - v1)^(-1) - t/(2*x1^2*v1)^2",
+         "-1/4*t*v1^(-2)*x1^(-4) - 3*v1*(v1 - x1)^(-1)*x1^2"
+         " - 3*v1^2*(v1 - x1)^(-1)*x1 - v1^3*(v1 - x1)^(-1)"
+         " - (v1 - x1)^(-1)*x1^3"),
+        ("sqrt(4) + sqrt(9/4)*x1 + sqrt(2) + sqrt(x1^2 - x1^2 + 16)*v2"
+         " + log(1) + exp(0)*v1 + cos(0) + sin(0)",
+         "3 + sqrt(2) + v1 + 4*v2 + 3/2*x1"),
+        ("sin((x1 + v1)^2 - x1^2 - v1^2) + sqrt(x2)^2 - exp(2*x1)/exp(x1 + x1)",
+         "-1 + sin(2*v1*x1) + sqrt(x2)^2"),
+        ("(t - 1/3)^4 - (t^2 - 2/3*t)^2",
+         "1/81 - 4/27*t + 2/9*t^2"),
+    ])
+    def test_mixed(self, text, expected):
+        assert to_string(simplify(parse(text, VARS))) == expected
+
+    def test_dense_kosambi_charpoly(self, dense2_F):
+        s = SodeSystem(vars=VARS, F=tuple(parse(f, VARS) for f in dense2_F))
+        charpoly = kosambi_invariants(s).charpoly
+        assert [len(c.terms) if isinstance(c, Add) else 1
+                for c in charpoly] == [1, 270, 3375]
+        text = "\n".join(to_string(c) for c in charpoly)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "5fb6317bb7dd52a2e0980324cfac765a35304b3fc011c46fb5f959676aec214a"
