@@ -3,22 +3,26 @@
 Connection coefficients in the adapted frame (the nine-rule table is encoded
 as frame Christoffels), covariant differentiation with Leibniz terms, the
 torsion and curvature component arrays (P, T, A, B, R) by closed formulas,
-and definition-based recomputations of both tensors used as oracles:
-Tor(X,Y) = D_X Y - D_Y X - [X,Y] and R(X,Y) = D_X D_Y - D_Y D_X - D_[X,Y].
+and definition-based recomputations of both tensors used as oracles: Cartan's
+structure equations in the adapted frame, Tor_ab = Gamma_ab - Gamma_ba - C_ab
+and R_abc = e_a Gamma_bc - e_b Gamma_ac + Gamma_bc.Gamma_a - Gamma_ac.Gamma_b
+- C_ab.Gamma_c, from Gamma[a, c, b], its frame derivatives and the structure
+functions C_ab^d = theta^d([e_a, e_b]), never from the closed formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .expressions import ZERO, add, mul
 from .sode import (
-    HALF, OracleMismatch, SodeSystem, as_expr,
-    bracket, coframe_symbolic, directional, endomorphism_E, expr_array,
-    f_v, f_vv, f_vvv, frame_symbolic, lie_derivative_J, max_abs,
-    sample_points, splitting_curvature, zero_symbolically, _diff,
+    HALF, SodeSystem, as_expr, bracket, check_residual, coframe_symbolic,
+    directional, endomorphism_E, eval_array, expr_array, f_v, f_vv, f_vvv,
+    frame_symbolic, lie_derivative_J, point_batch, reduce_residual,
+    splitting_curvature, _diff,
 )
 
 __all__ = [
@@ -56,26 +60,22 @@ class TorsionTensor:
     identity_block = 1
 
     def apply(self, X, Y):
-        """Value on two vectors given in adapted-frame components."""
+        """Value on two vectors given in adapted-frame components: Expr
+        entries for Expr blocks, floats for float blocks."""
         n = self.P.shape[0]
-        out = [ZERO] * (2 * n + 1)
+        out = expr_array(2 * n + 1) if self.P.dtype == object else np.zeros(2 * n + 1)
         for h in range(n):
-            terms = []
+            acc = 0.0
             for j in range(n):
-                pair = add(mul(X[0], Y[1 + j]), mul(-1, mul(Y[0], X[1 + j])))
-                terms.append(mul(-1, self.P[h, j], pair))
+                acc -= self.P[h, j] * (X[0] * Y[1 + j] - Y[0] * X[1 + j])
             for i in range(n):
                 for j in range(i + 1, n):
-                    pair = add(mul(X[1 + i], Y[1 + j]),
-                               mul(-1, mul(X[1 + j], Y[1 + i])))
-                    terms.append(mul(-1, self.T[h, i, j], pair))
-            out[1 + n + h] = add(*terms)
+                    acc -= self.T[h, i, j] * (X[1 + i] * Y[1 + j]
+                                              - X[1 + j] * Y[1 + i])
+            out[1 + n + h] = acc
         for i in range(n):
-            out[1 + i] = add(mul(X[0], Y[1 + n + i]),
-                             mul(-1, mul(Y[0], X[1 + n + i])))
-        arr = expr_array(2 * n + 1)
-        arr[:] = out
-        return arr
+            out[1 + i] = X[0] * Y[1 + n + i] - Y[0] * X[1 + n + i]
+        return out
 
 
 @dataclass(frozen=True)
@@ -153,63 +153,98 @@ def _unit(n2, a):
     return e
 
 
-def frame_bracket(s: SodeSystem, a, b) -> np.ndarray:
-    """[e_a, e_b] expressed back in adapted-frame components."""
-    frame = frame_symbolic(s)
-    coords = s.coords
-    br = bracket(frame[:, a], frame[:, b], coords)
-    return coframe_symbolic(s) @ br
-
-
 # --------------------------------------------------------------------------
 # torsion
 # --------------------------------------------------------------------------
 
-def torsion_definition(s: SodeSystem, a, b, gamma=None) -> np.ndarray:
+def _structure_functions(s: SodeSystem) -> np.ndarray:
+    """C[a, b, d] = theta^d([e_a, e_b]) for a < b, one frame bracket per pair."""
     n2 = 2 * s.n + 1
-    ea, eb = _unit(n2, a), _unit(n2, b)
-    t = covariant_derivative(s, ea, eb, gamma) \
-        - covariant_derivative(s, eb, ea, gamma) - frame_bracket(s, a, b)
-    return t
+    frame, coframe = frame_symbolic(s), coframe_symbolic(s)
+    C = expr_array((n2, n2, n2))
+    for a, b in combinations(range(n2), 2):
+        C[a, b] = coframe @ bracket(frame[:, a], frame[:, b], s.coords)
+    return C
 
 
-def _compare(label, got, expected, s, mode, points, tol):
-    delta = np.asarray(got, dtype=object) - np.asarray(expected, dtype=object)
-    if mode == "symbolic":
-        bad = [idx for idx in np.ndindex(delta.shape)
-               if not zero_symbolically(as_expr(delta[idx]))]
-        if bad:
-            raise OracleMismatch(f"{label}: nonzero at {bad[:4]}")
-        return 0.0
-    worst = max_abs(delta, s, points)
-    if worst > tol:
-        raise OracleMismatch(f"{label}: residual {worst:.3e} > {tol:g}")
-    return worst
+def _torsion_array(s: SodeSystem, gamma) -> np.ndarray:
+    """Tor[a, b] = Tor(e_a, e_b) = Gamma_ab - Gamma_ba - C_ab for a < b."""
+    n2 = gamma.shape[0]
+    C = _structure_functions(s)
+    tor = expr_array((n2, n2, n2))
+    for a, b in combinations(range(n2), 2):
+        tor[a, b] = gamma[a, b] - gamma[b, a] - C[a, b]
+    return tor
+
+
+def _torsion_deltas(s: SodeSystem, tensor: TorsionTensor, gamma) -> list:
+    """(label, Tor(e_a, e_b) - closed torsion blocks) for every frame pair."""
+    tor, n2 = _torsion_array(s, gamma), len(gamma)
+    return [(f"torsion oracle pair ({a},{b})",
+             tor[a, b] - tensor.apply(_unit(n2, a), _unit(n2, b)))
+            for a, b in combinations(range(n2), 2)]
+
+
+def torsion_definition(s: SodeSystem, a, b, gamma=None) -> np.ndarray:
+    """Tor(e_a, e_b) by the first structure equation."""
+    tor = _torsion_array(s, frame_christoffels(s) if gamma is None else gamma)
+    return tor[a, b] if a < b else -tor[b, a]
 
 
 def torsion(s: SodeSystem, check="numeric", points=None, tol=1e-10,
             seed=2024) -> TorsionTensor:
     """Assemble the torsion from the splitting curvature; unless check is
-    "none", recompute Tor(e_a, e_b) from the covariant derivative on every
-    frame pair and compare."""
+    "none", recompute Tor(e_a, e_b) on every frame pair from the structure
+    equation and compare."""
     sc = splitting_curvature(s, check="none")
     tensor = TorsionTensor(P=sc.P, T=sc.T)
     if check != "none":
-        if points is None:
-            points = sample_points(s.vars, 12, seed)
-        n2 = 2 * s.n + 1
-        for a in range(n2):
-            for b in range(a + 1, n2):
-                got = torsion_definition(s, a, b)
-                expected = tensor.apply(_unit(n2, a), _unit(n2, b))
-                _compare(f"torsion oracle pair ({a},{b})", got, expected,
-                         s, check, points, tol)
+        check_residual(_torsion_deltas(s, tensor, frame_christoffels(s)),
+                       s, check, points, tol, seed)
     return tensor
 
 
 # --------------------------------------------------------------------------
 # curvature
 # --------------------------------------------------------------------------
+
+def _contract(u, M) -> np.ndarray:
+    """sum_e u[e] M[e, :] over the nonzero entries of u and M."""
+    out = expr_array(M.shape[1])
+    for d in range(M.shape[1]):
+        out[d] = add(*[mul(u[e], M[e, d]) for e in range(len(u))
+                       if u[e] is not ZERO and M[e, d] is not ZERO])
+    return out
+
+
+def _curvature_array(s: SodeSystem, gamma) -> np.ndarray:
+    """R[a, b, c] = R(e_a, e_b)e_c for a < b, grouped as D_a D_b e_c
+    - D_b D_a e_c - D_[e_a, e_b] e_c, D_a D_b e_c = e_a Gamma_bc + Gamma_bc.Gamma_a."""
+    n2 = gamma.shape[0]
+    C = _structure_functions(s)
+    frame = frame_symbolic(s)
+    d_gamma = expr_array((n2,) * 4)     # [a, b, c, d]: e_a(Gamma[b, c, d])
+    for idx in np.ndindex(gamma.shape):
+        if gamma[idx] is not ZERO:
+            for a in range(n2):
+                d_gamma[(a,) + idx] = directional(frame[:, a], s.coords,
+                                                  gamma[idx])
+    R = expr_array((n2,) * 4)
+    for a, b in combinations(range(n2), 2):
+        for c in range(n2):
+            R[a, b, c] = (d_gamma[a, b, c] + _contract(gamma[b, c], gamma[a])) \
+                - (d_gamma[b, a, c] + _contract(gamma[a, c], gamma[b])) \
+                - _contract(C[a, b], gamma[:, c])
+    return R
+
+
+def _curvature_deltas(s: SodeSystem, comp) -> list:
+    """(label, R(e_a, e_b)e_c - table) per frame triple, zero blocks included."""
+    R = _curvature_array(s, frame_christoffels(s))
+    return [(f"curvature oracle ({a},{b};{c})",
+             R[a, b, c] - _expected_curvature(comp, s.n, a, b, c))
+            for a, b in combinations(range(len(R)), 2) for c in range(len(R))]
+
 
 def curvature_components(s: SodeSystem) -> CurvatureComponents:
     n = s.n
@@ -234,16 +269,9 @@ def curvature_components(s: SodeSystem) -> CurvatureComponents:
 
 
 def curvature_definition(s: SodeSystem, a, b, c, gamma=None) -> np.ndarray:
-    """R(e_a, e_b)e_c from the covariant derivative."""
-    n2 = 2 * s.n + 1
-    if gamma is None:
-        gamma = frame_christoffels(s)
-    ea, eb, ec = _unit(n2, a), _unit(n2, b), _unit(n2, c)
-    d_b = covariant_derivative(s, eb, ec, gamma)
-    d_a = covariant_derivative(s, ea, ec, gamma)
-    return (covariant_derivative(s, ea, d_b, gamma)
-            - covariant_derivative(s, eb, d_a, gamma)
-            - covariant_derivative(s, frame_bracket(s, a, b), ec, gamma))
+    """R(e_a, e_b)e_c by the second structure equation."""
+    R = _curvature_array(s, frame_christoffels(s) if gamma is None else gamma)
+    return R[a, b, c] if a < b else -R[b, a, c]
 
 
 def _expected_curvature(comp: CurvatureComponents, n, a, b, c):
@@ -252,18 +280,13 @@ def _expected_curvature(comp: CurvatureComponents, n, a, b, c):
     out = expr_array(2 * n + 1)
     if c == 0:
         return out
-
-    def emit(coeffs_of_h, minus_block):
-        for h in range(n):
-            out[(1 if minus_block else 1 + n) + h] = coeffs_of_h[h]
-
-    arg, on_minus = (c - 1, True) if c <= n else (c - 1 - n, False)
+    arg, block = (c - 1, out[1:1 + n]) if c <= n else (c - 1 - n, out[1 + n:])
     if a == 0 and 1 <= b <= n:
-        emit([comp.A[h, arg, b - 1] for h in range(n)], on_minus)
+        block[:] = comp.A[:, arg, b - 1]
     elif 1 <= a <= n and 1 <= b <= n:
-        emit([comp.B[h, a - 1, b - 1, arg] for h in range(n)], on_minus)
+        block[:] = comp.B[:, a - 1, b - 1, arg]
     elif 1 <= a <= n and b > n:
-        emit([comp.R[h, a - 1, b - 1 - n, arg] for h in range(n)], on_minus)
+        block[:] = comp.R[:, a - 1, b - 1 - n, arg]
     return out
 
 
@@ -274,17 +297,7 @@ def curvature(s: SodeSystem, check="numeric", points=None, tol=1e-10,
     the component table, including its vanishing blocks."""
     comp = curvature_components(s)
     if check != "none":
-        if points is None:
-            points = sample_points(s.vars, 12, seed)
-        n, n2 = s.n, 2 * s.n + 1
-        gamma = frame_christoffels(s)
-        for a in range(n2):
-            for b in range(a + 1, n2):
-                for c in range(n2):
-                    got = curvature_definition(s, a, b, c, gamma)
-                    expected = _expected_curvature(comp, n, a, b, c)
-                    _compare(f"curvature oracle ({a},{b};{c})", got, expected,
-                             s, check, points, tol)
+        check_residual(_curvature_deltas(s, comp), s, check, points, tol, seed)
     return comp
 
 
@@ -292,13 +305,13 @@ def curvature(s: SodeSystem, check="numeric", points=None, tol=1e-10,
 # identity suites
 # --------------------------------------------------------------------------
 
-def _tensor_covariant_residual(s, S, gamma, points):
+def _tensor_covariant_residual(s, S, gamma, batch):
     """max |(D_{e_a} S)(e_c)| for a (1,1)-tensor given by its adapted-frame
     matrix S[b, c] (Expr entries)."""
     n2 = 2 * s.n + 1
     frame = frame_symbolic(s)
     coords = s.coords
-    worst = 0.0
+    blocks = []
     for a in range(n2):
         out = expr_array((n2, n2))
         for b in range(n2):
@@ -307,8 +320,8 @@ def _tensor_covariant_residual(s, S, gamma, points):
                     directional(frame[:, a], coords, as_expr(S[b, c])),
                     *[mul(as_expr(S[d, c]), gamma[a, d, b]) for d in range(n2)],
                     *[mul(-1, gamma[a, c, d], as_expr(S[b, d])) for d in range(n2)])
-        worst = max(worst, max_abs(out, s, points))
-    return worst
+        blocks.append((a, out))
+    return reduce_residual(blocks, s, batch)[0]
 
 
 def verify_characterization(s: SodeSystem, points, w_shift=0) -> dict:
@@ -321,26 +334,21 @@ def verify_characterization(s: SodeSystem, points, w_shift=0) -> dict:
     gamma = frame_christoffels(s, w_shift=w_shift)
     coframe = coframe_symbolic(s)
     frame = frame_symbolic(s)
+    batch = point_batch(s.vars, points)
 
     flow_frame = coframe @ frame[:, 0]
-    r1 = 0.0
-    for a in range(n2):
-        d = covariant_derivative(s, _unit(n2, a), flow_frame, gamma)
-        r1 = max(r1, max_abs(d, s, points))
+    r1 = reduce_residual([(a, covariant_derivative(s, _unit(n2, a), flow_frame,
+                                                   gamma)) for a in range(n2)],
+                         s, batch)[0]
 
     lxj = coframe @ lie_derivative_J(s) @ frame
-    r2 = _tensor_covariant_residual(s, lxj, gamma, points)
+    r2 = _tensor_covariant_residual(s, lxj, gamma, batch)
 
     swap = coframe @ endomorphism_E(s) @ frame
-    r3 = _tensor_covariant_residual(s, swap, gamma, points)
+    r3 = _tensor_covariant_residual(s, swap, gamma, batch)
 
-    tensor = torsion(s, check="none")
-    r4 = 0.0
-    for a in range(n2):
-        for b in range(a + 1, n2):
-            delta = torsion_definition(s, a, b, gamma) \
-                - tensor.apply(_unit(n2, a), _unit(n2, b))
-            r4 = max(r4, max_abs(delta, s, points))
+    r4 = reduce_residual(_torsion_deltas(s, torsion(s, check="none"), gamma),
+                         s, batch)[0]
 
     return {"flow_parallel": r1, "eigenstructure_parallel": r2,
             "swap_parallel": r3, "torsion_match": r4}
@@ -353,18 +361,18 @@ def verify_structure_identities(s: SodeSystem, points) -> dict:
     n = s.n
     sc = splitting_curvature(s, check="none")
     vels = s.vars.velocities
-    gamma = frame_christoffels(s)
+    R = _curvature_array(s, frame_christoffels(s))
+    batch = point_batch(s.vars, points)
 
     res_a = expr_array((n, n, n))
     for j in range(n):
         for k in range(n):
-            r_def = curvature_definition(s, 0, 1 + j, 1 + k, gamma)
             for h in range(n):
-                a_def = r_def[1 + h]  # coefficient on X_h
+                a_def = R[0, 1 + j, 1 + k, 1 + h]  # coefficient on X_h
                 res_a[h, k, j] = add(
                     mul(2, a_def), mul(-1, sc.T[h, j, k]),
                     _diff(sc.P[h, k], vels[j]), _diff(sc.P[h, j], vels[k]))
-    eq_as = max_abs(res_a, s, points)
+    eq_as = reduce_residual([("eq_As", res_a)], s, batch)[0]
 
     res_t = expr_array((n, n, n))
     for i in range(n):
@@ -374,43 +382,27 @@ def verify_structure_identities(s: SodeSystem, points) -> dict:
                     mul(3, sc.T[i, k, j]),
                     mul(-1, _diff(sc.P[i, j], vels[k])),
                     _diff(sc.P[i, k], vels[j]))
-    eq_3t = max_abs(res_t, s, points)
+    eq_3t = reduce_residual([("eq_3T", res_t)], s, batch)[0]
     return {"eq_As": eq_as, "eq_3T": eq_3t}
 
 
 def torsion_oracle_residual(s: SodeSystem, points) -> float:
-    """max |Tor_definition - torsion blocks| over frame pairs and points."""
-    tensor = torsion(s, check="none")
-    n2 = 2 * s.n + 1
-    worst = 0.0
-    for a in range(n2):
-        for b in range(a + 1, n2):
-            delta = torsion_definition(s, a, b) \
-                - tensor.apply(_unit(n2, a), _unit(n2, b))
-            worst = max(worst, max_abs(delta, s, points))
-    return worst
+    """max |Tor_definition - torsion blocks| over frame pairs and points;
+    NaN when any value is not finite."""
+    deltas = _torsion_deltas(s, torsion(s, check="none"), frame_christoffels(s))
+    return reduce_residual(deltas, s, point_batch(s.vars, points))[0]
 
 
 def curvature_oracle_residual(s: SodeSystem, points) -> float:
     """max |R_definition - component table| over frame triples and points,
-    vanishing blocks included."""
-    comp = curvature_components(s)
-    n, n2 = s.n, 2 * s.n + 1
-    gamma = frame_christoffels(s)
-    worst = 0.0
-    for a in range(n2):
-        for b in range(a + 1, n2):
-            for c in range(n2):
-                delta = curvature_definition(s, a, b, c, gamma) \
-                    - _expected_curvature(comp, n, a, b, c)
-                worst = max(worst, max_abs(delta, s, points))
-    return worst
+    vanishing blocks included; NaN when any value is not finite."""
+    deltas = _curvature_deltas(s, curvature_components(s))
+    return reduce_residual(deltas, s, point_batch(s.vars, points))[0]
 
 
 def eigenstructure_residual(s: SodeSystem, points) -> float:
     """Distance of the eigenvalues of L_X J to the multiset
     {0, +1 (n times), -1 (n times)}, maximised over points."""
-    from .sode import eval_array, point_batch
     L = lie_derivative_J(s)
     vals = eval_array(L, s.vars.names, point_batch(s.vars, points))
     expected = np.sort(np.array([0.0] + [1.0] * s.n + [-1.0] * s.n))

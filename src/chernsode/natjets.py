@@ -29,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .chern import TorsionTensor
 from .expressions import (
     Expr, ZERO, add, compile_expr, const, evaluate, free_variables, mul,
     substitute, var,
@@ -904,23 +905,6 @@ def _frame_matrices_from_jet(j2: SodeJet2):
     return frame, coframe
 
 
-def _torsion_value(P, T, Xf, Yf):
-    """Torsion on adapted-frame component vectors from the (P, T) blocks."""
-    n = P.shape[0]
-    out = np.zeros(2 * n + 1)
-    for h in range(n):
-        acc = 0.0
-        for j in range(n):
-            acc -= P[h, j] * (Xf[0] * Yf[1 + j] - Yf[0] * Xf[1 + j])
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc -= T[h, i, j] * (Xf[1 + i] * Yf[1 + j] - Xf[1 + j] * Yf[1 + i])
-        out[1 + n + h] = acc
-    for i in range(n):
-        out[1 + i] = Xf[0] * Yf[1 + n + i] - Yf[0] * Xf[1 + n + i]
-    return out
-
-
 def _fd_push_derivative(auto, s, p, jx_inv, h=1e-4):
     """d(pushed F)/dV at the pushed point by central differences along
     curves q_eps whose image moves only the V coordinate, with one
@@ -1023,15 +1007,15 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
         T_here = eval_array(sc.T, vars.names, values)
 
         # (iv) torsion equivariance on frame pairs
+        tor_here, tor_push = TorsionTensor(P_here, T_here), TorsionTensor(P_push, T_push)
         worst = 0.0
         for a in range(dim):
             for b in range(a + 1, dim):
-                val = _torsion_value(P_here, T_here, np.eye(dim)[a],
-                                     np.eye(dim)[b])
+                val = tor_here.apply(np.eye(dim)[a], np.eye(dim)[b])
                 rhs = jmap @ (frame_p @ val)
                 xa = coframe_q @ (jmap @ frame_p[:, a])
                 xb = coframe_q @ (jmap @ frame_p[:, b])
-                lhs = frame_q @ _torsion_value(P_push, T_push, xa, xb)
+                lhs = frame_q @ tor_push.apply(xa, xb)
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         res["torsion_equivariance"] = max(res["torsion_equivariance"], worst)
 

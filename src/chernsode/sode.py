@@ -167,8 +167,45 @@ def point_batch(vars: VarSet, points) -> list:
 
 
 def max_abs(M, s: SodeSystem, points) -> float:
-    vals = eval_array(M, s.vars.names, point_batch(s.vars, points))
-    return float(np.max(np.abs(vals))) if vals.size else 0.0
+    return reduce_residual([(None, M)], s, point_batch(s.vars, points))[0]
+
+
+def reduce_residual(blocks, s: SodeSystem, batch):
+    """(worst |value|, its array's label, count of NaN and inf values) over
+    (label, Expr array) pairs, one entry at a time on a point batch.  A
+    non-finite value ranks above every finite one: `worst` is then NaN and
+    `label` names the first array holding one."""
+    worst, worst_label, nonfinite = 0.0, None, 0
+    for label, arr in blocks:
+        for e in np.asarray(arr, dtype=object).flat:
+            vals = np.abs(compile_expr(as_expr(e), s.vars.names)(batch))
+            bad = int(np.size(vals) - np.count_nonzero(np.isfinite(vals)))
+            if bad and not nonfinite:
+                worst, worst_label = float("nan"), label
+            nonfinite += bad
+            if not nonfinite and np.size(vals) and np.max(vals) > worst:
+                worst, worst_label = float(np.max(vals)), label
+    return worst, worst_label, nonfinite
+
+
+def check_residual(blocks, s: SodeSystem, mode, points, tol, seed):
+    """Raise OracleMismatch unless every (label, delta array) pair vanishes:
+    symbolically for mode "symbolic", else finite and within tol on `points`
+    (12 seeded sample points when None)."""
+    if mode == "symbolic":
+        for label, arr in blocks:
+            bad = [idx for idx in np.ndindex(arr.shape)
+                   if not zero_symbolically(as_expr(arr[idx]))]
+            if bad:
+                raise OracleMismatch(f"{label}: nonzero at components {bad[:4]}")
+        return
+    if points is None:
+        points = sample_points(s.vars, 12, seed)
+    worst, label, nonfinite = reduce_residual(blocks, s, point_batch(s.vars, points))
+    if nonfinite:
+        raise OracleMismatch(f"{label}: {nonfinite} non-finite values")
+    if worst > tol:
+        raise OracleMismatch(f"{label}: residual {worst:.3e} > {tol:g}")
 
 
 def sample_points(vars: VarSet, count, seed, box=None) -> list:
@@ -363,19 +400,6 @@ def splitting_T(s: SodeSystem) -> np.ndarray:
     return T
 
 
-def _check_components(label, got, expected, s, mode, points, tol):
-    diff_arr = np.asarray(got, dtype=object) - np.asarray(expected, dtype=object)
-    if mode == "symbolic":
-        bad = [idx for idx in np.ndindex(diff_arr.shape)
-               if not zero_symbolically(as_expr(diff_arr[idx]))]
-        if bad:
-            raise OracleMismatch(f"{label}: nonzero at components {bad[:4]}")
-    else:
-        worst = max_abs(diff_arr, s, points)
-        if worst > tol:
-            raise OracleMismatch(f"{label}: residual {worst:.3e} > {tol:g}")
-
-
 def splitting_curvature(s: SodeSystem, check="numeric", points=None,
                         tol=1e-10, seed=2024) -> SplitCurvature:
     """Closed-formula (P, T); unless check == "none", re-derives both from the
@@ -387,12 +411,11 @@ def splitting_curvature(s: SodeSystem, check="numeric", points=None,
     n = s.n
     P, T = splitting_P(s), splitting_T(s)
     if check != "none":
-        if points is None:
-            points = sample_points(s.vars, 12, seed)
         coords = s.coords
         frame = frame_symbolic(s)
         X_sigma = frame[:, 0]
         X_cols = [frame[:, 1 + i] for i in range(n)]
+        blocks = []
         for j in range(n):
             b = bracket(X_sigma, X_cols[j], coords)
             expected = expr_array(2 * n + 1)
@@ -401,16 +424,15 @@ def splitting_curvature(s: SodeSystem, check="numeric", points=None,
                 for r in range(2 * n + 1):
                     expected[r] = add(expected[r], mul(coef, X_cols[k][r]))
                 expected[1 + n + k] = add(expected[1 + n + k], P[k, j])
-            _check_components(f"splitting oracle [X, X_{j}]", b, expected,
-                              s, check, points, tol)
+            blocks.append((f"splitting oracle [X, X_{j}]", b - expected))
         for i in range(n):
             for j in range(i + 1, n):
                 b = bracket(X_cols[i], X_cols[j], coords)
                 expected = expr_array(2 * n + 1)
                 for k in range(n):
                     expected[1 + n + k] = T[k, i, j]
-                _check_components(f"splitting oracle [X_{i}, X_{j}]", b,
-                                  expected, s, check, points, tol)
+                blocks.append((f"splitting oracle [X_{i}, X_{j}]", b - expected))
+        check_residual(blocks, s, check, points, tol, seed)
     return SplitCurvature(P=P, T=T)
 
 

@@ -1,15 +1,21 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from chernsode import chern
 from chernsode.expressions import VarSet, const, parse, simplify, var
 from chernsode.chern import (
-    connection_data, covariant_derivative, curvature, curvature_definition,
-    torsion, torsion_definition, verify_characterization,
+    TorsionTensor, connection_data, covariant_derivative, curvature,
+    curvature_definition, curvature_oracle_residual, torsion,
+    torsion_definition, torsion_oracle_residual, verify_characterization,
     verify_structure_identities,
 )
 from chernsode.sode import (
-    OracleMismatch, SodeSystem, expr_array, max_abs,
-    random_polynomial_sode, sample_points, zero_symbolically,
+    OracleMismatch, SodeSystem, bracket, coframe_symbolic, eval_array,
+    expr_array, frame_symbolic, max_abs, random_polynomial_sode,
+    sample_points, splitting_curvature, zero_symbolically,
 )
 
 
@@ -207,3 +213,111 @@ class TestStructureIdentities:
                 torsion(s, check="numeric", points=pts)
         finally:
             sode_mod.splitting_P = good
+
+
+class TestStructureEquations:
+    """The structure-equation arrays against the Leibniz definitions through
+    the public covariant_derivative."""
+
+    S = random_polynomial_sode(2, seed=61)
+
+    def leibniz_bracket(self, a, b):
+        frame = frame_symbolic(self.S)
+        return coframe_symbolic(self.S) @ bracket(frame[:, a], frame[:, b],
+                                                  self.S.coords)
+
+    def assert_zero(self, got, expected):
+        for d in range(len(got)):
+            assert zero_symbolically(got[d] - expected[d]), d
+
+    def test_torsion_every_pair(self):
+        s, n2 = self.S, 2 * self.S.n + 1
+        for a in range(n2):
+            for b in range(n2):
+                if a == b:
+                    continue
+                ea, eb = unit(n2, a), unit(n2, b)
+                expected = covariant_derivative(s, ea, eb) \
+                    - covariant_derivative(s, eb, ea) - self.leibniz_bracket(a, b)
+                self.assert_zero(torsion_definition(s, a, b), expected)
+
+    @pytest.mark.parametrize("a,b,c", [(0, 1, 1), (0, 2, 4), (0, 3, 0),
+                                       (1, 2, 3), (1, 4, 2), (3, 4, 4),
+                                       (4, 1, 1)])
+    def test_curvature_triples(self, a, b, c):
+        s, n2 = self.S, 2 * self.S.n + 1
+        ea, eb, ec = unit(n2, a), unit(n2, b), unit(n2, c)
+        expected = covariant_derivative(s, ea, covariant_derivative(s, eb, ec)) \
+            - covariant_derivative(s, eb, covariant_derivative(s, ea, ec)) \
+            - covariant_derivative(s, self.leibniz_bracket(a, b), ec)
+        self.assert_zero(curvature_definition(s, a, b, c), expected)
+
+
+@pytest.mark.parametrize("block", ["A", "R"])
+def test_curvature_oracle_detects_mutation(monkeypatch, block):
+    good = chern.curvature_components
+
+    def flipped(system):
+        comp = good(system)
+        return dataclasses.replace(comp, **{block: -getattr(comp, block)})
+
+    s = random_polynomial_sode(2, seed=510)
+    pts = sample_points(s.vars, 8, seed=5)
+    monkeypatch.setattr(chern, "curvature_components", flipped)
+    with pytest.raises(OracleMismatch, match=r"curvature oracle \(\d,\d;\d\)"):
+        curvature(s, check="numeric", points=pts)
+    assert curvature_oracle_residual(s, pts) > 1e-3
+
+
+def test_torsion_oracle_names_worst_pair(monkeypatch):
+    good = chern.splitting_curvature
+
+    def shifted(system, check):
+        sc = good(system, check=check)
+        P = sc.P.copy()
+        P[1, 0] = P[1, 0] + const(1)
+        return dataclasses.replace(sc, P=P)
+
+    monkeypatch.setattr(chern, "splitting_curvature", shifted)
+    s = random_polynomial_sode(2, seed=520)
+    with pytest.raises(OracleMismatch, match=r"torsion oracle pair \(0,1\): residual"):
+        torsion(s, check="numeric")
+
+
+def test_torsion_apply_floats_match_exprs():
+    s = random_polynomial_sode(2, seed=71)
+    names, n2 = s.vars.names, 2 * s.n + 1
+    tensor = torsion(s, check="none")
+    point = sample_points(s.vars, 1, seed=7)[0]
+    values = [point.env(s.vars)[name] for name in names]
+    floats = TorsionTensor(eval_array(tensor.P, names, values),
+                           eval_array(tensor.T, names, values))
+    rng = np.random.default_rng(8)
+    X, Y = rng.uniform(-1, 1, n2), rng.uniform(-1, 1, n2)
+    exprs = tensor.apply([const(x) for x in X], [const(y) for y in Y])
+    np.testing.assert_allclose(floats.apply(X, Y),
+                               eval_array(exprs, names, values),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteResiduals:
+    """sqrt(x1) is NaN at the negative positions of the default box."""
+
+    S = make(1, "sqrt(x1)*v1^2")
+    PTS = sample_points(S.vars, 10, 3)
+
+    @pytest.mark.parametrize("check,label", [
+        (torsion, r"torsion oracle pair \(\d,\d\)"),
+        (curvature, r"curvature oracle \(\d,\d;\d\)"),
+        (splitting_curvature, r"splitting oracle \[X, X_0\]")])
+    def test_check_raises(self, check, label):
+        with pytest.raises(OracleMismatch, match=label + r": \d+ non-finite values"):
+            check(self.S, check="numeric", points=self.PTS)
+
+    def test_residuals_are_nan(self):
+        values = [torsion_oracle_residual(self.S, self.PTS),
+                  curvature_oracle_residual(self.S, self.PTS),
+                  *verify_characterization(self.S, self.PTS).values(),
+                  *verify_structure_identities(self.S, self.PTS).values()]
+        assert all(math.isnan(v) for v in values), values
