@@ -125,25 +125,35 @@ def frame_christoffels(s: SodeSystem, w_shift=0) -> np.ndarray:
     return gamma
 
 
+def _frame_covariant(s: SodeSystem, gamma, S, slots, a) -> np.ndarray:
+    """Adapted-frame components of D_{e_a} S for a tensor S with one slot
+    letter per axis: "u" (upper) adds S[..d..] Gamma[a, d, idx] and "l"
+    (lower) adds -Gamma[a, idx, d] S[..d..].  The directional term
+    e_a(S[idx]) comes first, then the slots in axis order, d ascending."""
+    S = np.asarray(S, dtype=object)
+    field = frame_symbolic(s)[:, a]
+    out = expr_array(S.shape)
+    for idx in np.ndindex(S.shape):
+        terms = [directional(field, s.coords, as_expr(S[idx]))]
+        for axis, slot in enumerate(slots):
+            for d in range(S.shape[axis]):
+                other = as_expr(S[idx[:axis] + (d,) + idx[axis + 1:]])
+                terms.append(mul(other, gamma[a, d, idx[axis]]) if slot == "u"
+                             else mul(-1, gamma[a, idx[axis], d], other))
+        out[idx] = add(*terms)
+    return out
+
+
 def covariant_derivative(s: SodeSystem, X, Y, gamma=None) -> np.ndarray:
-    """D_X Y for X, Y in adapted-frame components with Expr coefficients."""
-    n = s.n
+    """D_X Y = sum_a X^a D_{e_a} Y for X, Y in adapted-frame components with
+    Expr coefficients."""
     if gamma is None:
         gamma = frame_christoffels(s)
-    frame = frame_symbolic(s)
-    coords = s.coords
-    out = expr_array(2 * n + 1)
-    for b in range(2 * n + 1):
-        terms = []
-        for a in range(2 * n + 1):
-            xa = as_expr(X[a])
-            if xa is ZERO:
-                continue
-            leibniz = directional(frame[:, a], coords, as_expr(Y[b]))
-            christoffel = add(*[mul(as_expr(Y[c]), gamma[a, c, b])
-                                for c in range(2 * n + 1)])
-            terms.append(mul(xa, add(leibniz, christoffel)))
-        out[b] = add(*terms)
+    parts = [(xa, _frame_covariant(s, gamma, Y, "u", a))
+             for a, xa in enumerate(map(as_expr, X)) if xa is not ZERO]
+    out = expr_array(2 * s.n + 1)
+    for b in range(len(out)):
+        out[b] = add(*[mul(xa, dy[b]) for xa, dy in parts])
     return out
 
 
@@ -305,25 +315,6 @@ def curvature(s: SodeSystem, check="numeric", points=None, tol=1e-10,
 # identity suites
 # --------------------------------------------------------------------------
 
-def _tensor_covariant_residual(s, S, gamma, batch):
-    """max |(D_{e_a} S)(e_c)| for a (1,1)-tensor given by its adapted-frame
-    matrix S[b, c] (Expr entries)."""
-    n2 = 2 * s.n + 1
-    frame = frame_symbolic(s)
-    coords = s.coords
-    blocks = []
-    for a in range(n2):
-        out = expr_array((n2, n2))
-        for b in range(n2):
-            for c in range(n2):
-                out[b, c] = add(
-                    directional(frame[:, a], coords, as_expr(S[b, c])),
-                    *[mul(as_expr(S[d, c]), gamma[a, d, b]) for d in range(n2)],
-                    *[mul(-1, gamma[a, c, d], as_expr(S[b, d])) for d in range(n2)])
-        blocks.append((a, out))
-    return reduce_residual(blocks, s, batch)[0]
-
-
 def verify_characterization(s: SodeSystem, points, w_shift=0) -> dict:
     """Residuals of the four defining properties of the connection:
     (1) the dynamical flow is parallel, (2) the eigenstructure endomorphism
@@ -336,16 +327,12 @@ def verify_characterization(s: SodeSystem, points, w_shift=0) -> dict:
     frame = frame_symbolic(s)
     batch = point_batch(s.vars, points)
 
-    flow_frame = coframe @ frame[:, 0]
-    r1 = reduce_residual([(a, covariant_derivative(s, _unit(n2, a), flow_frame,
-                                                   gamma)) for a in range(n2)],
-                         s, batch)[0]
-
-    lxj = coframe @ lie_derivative_J(s) @ frame
-    r2 = _tensor_covariant_residual(s, lxj, gamma, batch)
-
-    swap = coframe @ endomorphism_E(s) @ frame
-    r3 = _tensor_covariant_residual(s, swap, gamma, batch)
+    r1, r2, r3 = (
+        reduce_residual([(a, _frame_covariant(s, gamma, S, slots, a))
+                         for a in range(n2)], s, batch)[0]
+        for S, slots in ((coframe @ frame[:, 0], "u"),
+                         (coframe @ lie_derivative_J(s) @ frame, "ul"),
+                         (coframe @ endomorphism_E(s) @ frame, "ul")))
 
     r4 = reduce_residual(_torsion_deltas(s, torsion(s, check="none"), gamma),
                          s, batch)[0]
@@ -406,9 +393,10 @@ def eigenstructure_residual(s: SodeSystem, points) -> float:
     L = lie_derivative_J(s)
     vals = eval_array(L, s.vars.names, point_batch(s.vars, points))
     expected = np.sort(np.array([0.0] + [1.0] * s.n + [-1.0] * s.n))
+    eigs = np.linalg.eigvals(vals.transpose(2, 0, 1))
     worst = 0.0
     for k in range(len(points)):
-        eig = np.sort(np.linalg.eigvals(vals[:, :, k]).real)
-        imag = np.max(np.abs(np.linalg.eigvals(vals[:, :, k]).imag))
+        eig = np.sort(eigs[k].real)
+        imag = np.max(np.abs(eigs[k].imag))
         worst = max(worst, float(np.max(np.abs(eig - expected))), float(imag))
     return worst

@@ -14,11 +14,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expressions import add, const, is_polynomial, mul, simplify, var
-from .chern import connection_data, curvature_components
+from .expressions import (
+    add, const, free_variables, is_polynomial, mul, simplify, var,
+)
+from .chern import (
+    connection_data, curvature_components, frame_christoffels, _frame_covariant,
+)
 from .sode import (
-    JetPoint1, SodeSystem, as_expr, eval_array, expr_array, max_abs,
-    numeric_rank, point_batch, sample_points, splitting_curvature,
+    JetPoint1, SodeSystem, as_expr, eval_array, expr_array, numeric_rank,
+    point_batch, reduce_residual, sample_points, splitting_curvature,
     zero_symbolically, _diff,
 )
 
@@ -72,11 +76,16 @@ class ClassificationReport:
 # --------------------------------------------------------------------------
 
 def _witness_numeric(named_exprs, s, points, tol):
-    """First (component, point, value) with |value| > tol, else None."""
+    """Worst (component, point, value) with |value| > tol, else None.  A
+    non-finite value ranks above every finite one: the first component holding
+    one is the witness, with value None (JSON has no NaN)."""
     batch = point_batch(s.vars, points)
     worst = None
     for name, e in named_exprs:
         vals = eval_array(np.asarray([e], dtype=object), s.vars.names, batch)[0]
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            return (name, points[bad[0]], None)
         k = int(np.argmax(np.abs(vals)))
         if abs(vals[k]) > tol and (worst is None or abs(vals[k]) > abs(worst[2])):
             worst = (name, points[k], float(vals[k]))
@@ -231,10 +240,10 @@ def _check_spd(U, s, points, tol=1e-9):
 def orthogonal_residual(s: SodeSystem, U, points, check_spd=True) -> dict:
     """Residual maxima of the orthogonal-holonomy system for a candidate
     matrix U(t, x): the transport equation eq_PDE, its space companion
-    eq_ecuacion2, and the pointwise integrability blocks eq_UABR."""
+    eq_ecuacion2, and the pointwise integrability blocks eq_UABR; each is NaN
+    when any value is not finite."""
     n = s.n
     U = np.asarray(U, dtype=object)
-    from .expressions import free_variables
     allowed = {s.vars.time, *s.vars.positions}
     for idx in np.ndindex(U.shape):
         extra = free_variables(as_expr(U[idx])) - allowed
@@ -254,22 +263,21 @@ def orthogonal_residual(s: SodeSystem, U, points, check_spd=True) -> dict:
                       _diff(as_expr(U[i, j]), s.vars.positions[a]))
                   for a in range(n)])
             pde[i, j] = add(transport, as_expr(UW[i, j]), as_expr(UW[j, i]))
-    out = {"eq_PDE": max_abs(pde, s, points)}
+    batch = point_batch(s.vars, points)
+    out = {"eq_PDE": reduce_residual([("eq_PDE", pde)], s, batch)[0]}
 
-    worst = 0.0
+    blocks = []
     for k in range(n):
-        Vk = data.V[:, :, k]
-        UV = U @ Vk
+        UV = U @ data.V[:, :, k]
         mat = expr_array((n, n))
         for i in range(n):
             for j in range(n):
                 mat[i, j] = add(_diff(as_expr(U[i, j]), s.vars.positions[k]),
                                 as_expr(UV[i, j]), as_expr(UV[j, i]))
-        worst = max(worst, max_abs(mat, s, points))
-    out["eq_ecuacion2"] = worst
+        blocks.append((k, mat))
+    out["eq_ecuacion2"] = reduce_residual(blocks, s, batch)[0]
 
     comp = curvature_components(s)
-    batch = point_batch(s.vars, points)
     u_vals = eval_array(U, s.vars.names, batch)
     for label, blocks in (
             ("eq_UABR_A", [comp.A[:, :, j] for j in range(n)]),
@@ -277,21 +285,21 @@ def orthogonal_residual(s: SodeSystem, U, points, check_spd=True) -> dict:
                            for j in range(i + 1, n)]),
             ("eq_UABR_R", [comp.R[:, i, j, :] for i in range(n)
                            for j in range(i, n)])):
-        worst = 0.0
+        residuals = []
         for M in blocks:
             m_vals = eval_array(M, s.vars.names, batch)
             for k in range(len(points)):
                 u, m = u_vals[:, :, k], m_vals[:, :, k]
-                worst = max(worst, float(np.max(np.abs(u @ m + m.T @ u))))
-        out[label] = worst
+                residuals.append(np.max(np.abs(u @ m + m.T @ u)))
+        worst = float(np.max(residuals, initial=0.0))
+        out[label] = worst if np.isfinite(worst) else float("nan")
     return out
 
 
 def parallel_metric_residual(s: SodeSystem, U, points) -> float:
     """max |nabla g| for g = dt (x) dt + U_ij omega^i (x) omega^j
-    + U_ij varpi^i (x) varpi^j, written in the adapted coframe."""
-    from .chern import frame_christoffels
-    from .sode import directional, frame_symbolic
+    + U_ij varpi^i (x) varpi^j, written in the adapted coframe; NaN when any
+    value is not finite."""
     n = s.n
     n2 = 2 * n + 1
     G = expr_array((n2, n2))
@@ -301,19 +309,8 @@ def parallel_metric_residual(s: SodeSystem, U, points) -> float:
             G[1 + i, 1 + j] = as_expr(U[i, j])
             G[1 + n + i, 1 + n + j] = as_expr(U[i, j])
     gamma = frame_christoffels(s)
-    frame = frame_symbolic(s)
-    coords = s.coords
-    worst = 0.0
-    for a in range(n2):
-        out = expr_array((n2, n2))
-        for b in range(n2):
-            for c in range(n2):
-                out[b, c] = add(
-                    directional(frame[:, a], coords, as_expr(G[b, c])),
-                    *[mul(-1, gamma[a, b, d], as_expr(G[d, c])) for d in range(n2)],
-                    *[mul(-1, gamma[a, c, d], as_expr(G[b, d])) for d in range(n2)])
-        worst = max(worst, max_abs(out, s, points))
-    return worst
+    blocks = [(a, _frame_covariant(s, gamma, G, "ll", a)) for a in range(n2)]
+    return reduce_residual(blocks, s, point_batch(s.vars, points))[0]
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chernsode import chern
-from chernsode.expressions import VarSet, const, parse, simplify, var
+from chernsode.expressions import VarSet, add, const, mul, parse, simplify, var
 from chernsode.chern import (
     TorsionTensor, connection_data, covariant_derivative, curvature,
     curvature_definition, curvature_oracle_residual, torsion,
@@ -13,9 +13,10 @@ from chernsode.chern import (
     verify_structure_identities,
 )
 from chernsode.sode import (
-    OracleMismatch, SodeSystem, bracket, coframe_symbolic, eval_array,
-    expr_array, frame_symbolic, max_abs, random_polynomial_sode,
-    sample_points, splitting_curvature, zero_symbolically,
+    OracleMismatch, SodeSystem, as_expr, bracket, coframe_symbolic,
+    directional, endomorphism_E, eval_array, expr_array, frame_symbolic,
+    lie_derivative_J, max_abs, random_polynomial_sode, sample_points,
+    splitting_curvature, zero_symbolically,
 )
 
 
@@ -176,6 +177,70 @@ class TestCharacterization:
         pts = sample_points(s.vars, 10, seed=3)
         res = verify_characterization(s, pts, w_shift=1)
         assert res["torsion_match"] >= 0.5
+
+    def test_shifted_christoffel_breaks_parallel_endomorphisms(self, monkeypatch):
+        good = chern.frame_christoffels
+
+        def shifted(system, w_shift=0):
+            gamma = good(system, w_shift=w_shift)
+            gamma[0, 1, 2] = add(gamma[0, 1, 2], 0.1)
+            return gamma
+
+        monkeypatch.setattr(chern, "frame_christoffels", shifted)
+        s = random_polynomial_sode(1, seed=3)
+        res = verify_characterization(s, sample_points(s.vars, 10, seed=3))
+        assert res["eigenstructure_parallel"] > 1e-3, res
+        assert res["swap_parallel"] > 1e-3, res
+
+
+class TestFrameCovariant:
+    """The one adapted-frame covariant derivative against the per-rank loops
+    it replaced, term for term."""
+
+    @staticmethod
+    def loop_11(s, S, gamma, a):
+        n2 = 2 * s.n + 1
+        frame = frame_symbolic(s)
+        out = expr_array((n2, n2))
+        for b in range(n2):
+            for c in range(n2):
+                out[b, c] = add(
+                    directional(frame[:, a], s.coords, as_expr(S[b, c])),
+                    *[mul(as_expr(S[d, c]), gamma[a, d, b]) for d in range(n2)],
+                    *[mul(-1, gamma[a, c, d], as_expr(S[b, d])) for d in range(n2)])
+        return out
+
+    @staticmethod
+    def loop_02(s, G, gamma, a):
+        n2 = 2 * s.n + 1
+        frame = frame_symbolic(s)
+        out = expr_array((n2, n2))
+        for b in range(n2):
+            for c in range(n2):
+                out[b, c] = add(
+                    directional(frame[:, a], s.coords, as_expr(G[b, c])),
+                    *[mul(-1, gamma[a, b, d], as_expr(G[d, c])) for d in range(n2)],
+                    *[mul(-1, gamma[a, c, d], as_expr(G[b, d])) for d in range(n2)])
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_rank_loops(self, n):
+        s = random_polynomial_sode(n, seed=40 + n)
+        n2 = 2 * n + 1
+        gamma = chern.frame_christoffels(s)
+        frame, coframe = frame_symbolic(s), coframe_symbolic(s)
+        lxj = coframe @ lie_derivative_J(s) @ frame
+        swap = coframe @ endomorphism_E(s) @ frame
+        G = expr_array((n2, n2))
+        for b in range(n2):
+            for c in range(b, n2):
+                G[b, c] = G[c, b] = parse(f"{1 + b}*x1^{c} + t*x{n}", s.vars)
+        for a in range(n2):
+            for S in (lxj, swap):
+                got = chern._frame_covariant(s, gamma, S, "ul", a)
+                assert list(got.flat) == list(self.loop_11(s, S, gamma, a).flat)
+            got = chern._frame_covariant(s, gamma, G, "ll", a)
+            assert list(got.flat) == list(self.loop_02(s, G, gamma, a).flat)
 
 
 class TestStructureIdentities:

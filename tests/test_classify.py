@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from chernsode.expressions import VarSet, const, parse, simplify
+from chernsode import chern, classify
+from chernsode.expressions import VarSet, add, const, parse, simplify
 from chernsode.classify import (
     NotPositiveDefinite, SymbolicModeUnsupported, classification_report,
     first_prolongation_dim, holonomy_span, kosambi_invariants,
@@ -146,6 +149,50 @@ class TestOrthogonal:
     def test_parallel_metric_flat(self):
         pts = sample_points(FLAT1.vars, 5, seed=3)
         assert parallel_metric_residual(FLAT1, identity_u(1), pts) == 0.0
+
+    def test_shifted_christoffel_breaks_parallel_metric(self, monkeypatch):
+        good = chern.frame_christoffels
+
+        def shifted(system, w_shift=0):
+            gamma = good(system, w_shift=w_shift)
+            gamma[0, 1, 2] = add(gamma[0, 1, 2], 0.1)
+            return gamma
+
+        monkeypatch.setattr(classify, "frame_christoffels", shifted)
+        pts = sample_points(FLAT1.vars, 5, seed=3)
+        assert parallel_metric_residual(FLAT1, identity_u(1), pts) > 1e-3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteResiduals:
+    """sqrt(x1) and log(x1) are NaN at the negative positions of the default
+    box; a residual or a flag must then fail, never read zero."""
+
+    def test_sqrt_n1(self):
+        s = make(1, "sqrt(x1)*v1^2")
+        pts = sample_points(s.vars, 10, 3)
+        assert math.isnan(parallel_metric_residual(s, identity_u(1), pts))
+        res = orthogonal_residual(s, identity_u(1), pts, check_spd=False)
+        for key in ("eq_PDE", "eq_ecuacion2", "eq_UABR_A"):
+            assert math.isnan(res[key]), res
+        # no B block at n = 1, and R = F_vvv/2 = 0 holds no non-finite value
+        assert res["eq_UABR_B"] == 0.0 and res["eq_UABR_R"] == 0.0
+
+    def test_every_residual_n2(self):
+        s = make(2, "sqrt(x1)*v1^3", "sqrt(x1)*v1^2*v2")
+        pts = sample_points(s.vars, 10, 3)
+        assert math.isnan(parallel_metric_residual(s, identity_u(2), pts))
+        res = orthogonal_residual(s, identity_u(2), pts, check_spd=False)
+        assert all(math.isnan(v) for v in res.values()), res
+
+    def test_no_false_certificate(self):
+        flags = special_coordinate_conditions(make(1, "log(x1)*v1^3"),
+                                              mode="numeric")
+        for flag, result in flags.items():
+            assert result.status == "violated", flag
+            w = result.witness
+            assert w["value"] is None and w["point"].x[0] < 0
+        assert flags["linearizable_necessary"].witness["component"] == "R[0][0][0][0]"
 
 
 class TestKosambi:
