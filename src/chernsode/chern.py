@@ -22,7 +22,7 @@ from .sode import (
     HALF, SodeSystem, as_expr, bracket, check_residual, coframe_symbolic,
     directional, endomorphism_E, eval_array, expr_array, f_v, f_vv, f_vvv,
     frame_symbolic, lie_derivative_J, point_batch, reduce_residual,
-    splitting_curvature, _diff,
+    splitting_curvature, worst_abs, _diff,
 )
 
 __all__ = [
@@ -394,9 +394,4 @@ def eigenstructure_residual(s: SodeSystem, points) -> float:
     vals = eval_array(L, s.vars.names, point_batch(s.vars, points))
     expected = np.sort(np.array([0.0] + [1.0] * s.n + [-1.0] * s.n))
     eigs = np.linalg.eigvals(vals.transpose(2, 0, 1))
-    worst = 0.0
-    for k in range(len(points)):
-        eig = np.sort(eigs[k].real)
-        imag = np.max(np.abs(eigs[k].imag))
-        worst = max(worst, float(np.max(np.abs(eig - expected))), float(imag))
-    return worst
+    return worst_abs(np.sort(eigs.real) - expected, eigs.imag)

@@ -9,6 +9,7 @@ first-prolongation nullity of the structure-group algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .chern import (
 from .sode import (
     JetPoint1, SodeSystem, as_expr, eval_array, expr_array, numeric_rank,
     point_batch, reduce_residual, sample_points, splitting_curvature,
-    zero_symbolically, _diff,
+    worst_abs, zero_symbolically, _diff,
 )
 
 __all__ = [
@@ -75,45 +76,28 @@ class ClassificationReport:
 # zero-testing helpers
 # --------------------------------------------------------------------------
 
-def _witness_numeric(named_exprs, s, points, tol):
-    """Worst (component, point, value) with |value| > tol, else None.  A
-    non-finite value ranks above every finite one: the first component holding
-    one is the witness, with value None (JSON has no NaN)."""
-    batch = point_batch(s.vars, points)
-    worst = None
-    for name, e in named_exprs:
-        vals = eval_array(np.asarray([e], dtype=object), s.vars.names, batch)[0]
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            return (name, points[bad[0]], None)
-        k = int(np.argmax(np.abs(vals)))
-        if abs(vals[k]) > tol and (worst is None or abs(vals[k]) > abs(worst[2])):
-            worst = (name, points[k], float(vals[k]))
-    return worst
-
-
 def _condition(named_exprs, s, mode, points, tol):
     if mode == "symbolic":
         if not all(is_polynomial(f) for f in s.F):
             raise SymbolicModeUnsupported(
                 "symbolic zero-testing needs polynomial right-hand sides")
-        bad = [(name, simplify(e)) for name, e in named_exprs
-               if not zero_symbolically(e)]
-        if not bad:
+        named_exprs = [(name, simplify(e)) for name, e in named_exprs
+                       if not zero_symbolically(e)]
+        if not named_exprs:
             return ConditionResult("symbolic-zero")
-        if points is None:
-            points = sample_points(s.vars, 8, seed=17)
-        w = _witness_numeric(bad, s, points, 0.0)
-        name, point, value = w if w else (bad[0][0], None, None)
-        return ConditionResult("violated", {
-            "component": name, "point": point, "value": value})
+        tol = 0.0
     if points is None:
-        points = sample_points(s.vars, 25, seed=17)
-    w = _witness_numeric(named_exprs, s, points, tol)
-    if w is None:
-        return ConditionResult("numeric-zero")
+        points = sample_points(s.vars, 8 if mode == "symbolic" else 25, seed=17)
+    r = reduce_residual([(name, [e]) for name, e in named_exprs], s,
+                        point_batch(s.vars, points))
+    if r.worst <= tol:
+        if mode != "symbolic":
+            return ConditionResult("numeric-zero")
+        return ConditionResult("violated", {
+            "component": named_exprs[0][0], "point": None, "value": None})
     return ConditionResult("violated", {
-        "component": w[0], "point": w[1], "value": w[2]})
+        "component": r.label, "point": points[r.point],
+        "value": r.value if math.isfinite(r.worst) else None})
 
 
 def _named(prefix, arr):
@@ -231,6 +215,8 @@ def _check_spd(U, s, points, tol=1e-9):
     vals = eval_array(U, s.vars.names, point_batch(s.vars, points))
     for k, p in enumerate(points):
         m = vals[:, :, k]
+        if not np.isfinite(m).all():
+            raise NotPositiveDefinite(f"U not finite at {p}")
         if np.max(np.abs(m - m.T)) > tol:
             raise NotPositiveDefinite(f"U not symmetric at {p}")
         if np.min(np.linalg.eigvalsh((m + m.T) / 2)) <= 0:
@@ -285,14 +271,13 @@ def orthogonal_residual(s: SodeSystem, U, points, check_spd=True) -> dict:
                            for j in range(i + 1, n)]),
             ("eq_UABR_R", [comp.R[:, i, j, :] for i in range(n)
                            for j in range(i, n)])):
-        residuals = []
+        deltas = []
         for M in blocks:
             m_vals = eval_array(M, s.vars.names, batch)
             for k in range(len(points)):
                 u, m = u_vals[:, :, k], m_vals[:, :, k]
-                residuals.append(np.max(np.abs(u @ m + m.T @ u)))
-        worst = float(np.max(residuals, initial=0.0))
-        out[label] = worst if np.isfinite(worst) else float("nan")
+                deltas.append(u @ m + m.T @ u)
+        out[label] = worst_abs(*deltas)
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ from .expressions import (
 )
 from .sode import (
     JetPoint1, OracleMismatch, SodeSystem, eval_array, point_batch,
-    sample_points, splitting_curvature,
+    sample_points, splitting_curvature, worst_abs,
 )
 from .chern import (
     curvature_components, curvature_oracle_residual, eigenstructure_residual,
@@ -290,6 +291,14 @@ def _array_values(arr, s, points):
     return vals.tolist()
 
 
+def _residual_entry(val, tol, **extra):
+    """{"residual", **extra, "pass"} for one residual maximum: a non-finite
+    residual reads null and fails."""
+    finite = math.isfinite(val)
+    return {"residual": val if finite else None, **extra,
+            "pass": bool(finite and val <= tol)}
+
+
 def _point_list(points):
     return [[p.t, list(p.x), list(p.v)] for p in points]
 
@@ -321,7 +330,7 @@ def task_analyze(problem: Problem) -> dict:
         },
         "holonomy_span_per_point": [holonomy_span(s, p, tol["rank"])
                                     for p in pts],
-        "checks": {key: {"residual": val, "pass": bool(val <= tol["oracle"])}
+        "checks": {key: _residual_entry(val, tol["oracle"])
                    for key, val in checks.items()},
     }
     report["pass"] = all(c["pass"] for c in report["checks"].values())
@@ -358,7 +367,7 @@ def task_classify(problem: Problem) -> dict:
     if rep.orthogonal_residuals is not None:
         tol = problem.tolerances["identity"]
         report["orthogonal_residuals"] = {
-            key: {"residual": val, "pass": bool(val <= tol)}
+            key: _residual_entry(val, tol)
             for key, val in rep.orthogonal_residuals.items()}
         passed = all(c["pass"] for c in report["orthogonal_residuals"].values())
     report["pass"] = bool(passed)
@@ -378,8 +387,7 @@ def task_verify(problem: Problem) -> dict:
     report = {"points": len(pts), "residuals": {}}
     for key, val in residuals.items():
         limit = tol["oracle"] if "oracle" in key else tol["identity"]
-        report["residuals"][key] = {"residual": val, "tolerance": limit,
-                                    "pass": bool(val <= limit)}
+        report["residuals"][key] = _residual_entry(val, limit, tolerance=limit)
     report["pass"] = all(c["pass"] for c in report["residuals"].values())
     return report
 
@@ -399,7 +407,7 @@ def task_push(problem: Problem) -> dict:
              "pushed": (lambda q: [q.t, list(q.x), list(q.v)])(prolong1(auto, p)),
              "pushed_value": push_sode_value(auto, s, p).tolist()}
             for p in pts],
-        "residuals": {key: {"residual": val, "pass": bool(val <= tol)}
+        "residuals": {key: _residual_entry(val, tol)
                       for key, val in res.items()},
     }
     if auto.inverse is not None:
@@ -419,10 +427,11 @@ def task_jets(problem: Problem) -> dict:
         if len(svals) > expected and svals[expected] > 0 else float(1e18)
     kernel = curvature_kernel_dim(s, p)
     kernel_expected = 3 * n * (n + 2) * (n + 1) // 2
-    equiv = 0.0
-    for k in range(10):
-        u = random_polynomial_field(s.vars, seed=9000 + k, degree=3)
-        equiv = max(equiv, *infinitesimal_equivariance(s, u, pts[k % len(pts)]))
+    equiv = worst_abs([
+        infinitesimal_equivariance(
+            s, random_polynomial_field(s.vars, seed=9000 + k, degree=3),
+            pts[k % len(pts)])
+        for k in range(10)])
     tol = problem.tolerances["identity"]
     prolongation_dim = first_prolongation_dim(min(n, 4))
     report = {
@@ -431,7 +440,7 @@ def task_jets(problem: Problem) -> dict:
                               "pass": bool(rank == expected)},
         "curvature_kernel": {"dim": kernel, "expected": kernel_expected,
                              "pass": bool(kernel == kernel_expected)},
-        "equivariance": {"residual": equiv, "pass": bool(equiv <= tol)},
+        "equivariance": _residual_entry(equiv, tol),
         "first_prolongation": {"dim": prolongation_dim,
                                "pass": bool(prolongation_dim == 0)},
     }
@@ -452,11 +461,9 @@ def task_riemann(problem: Problem) -> dict:
     spray = geodesic_spray(metric)
     report = {
         "spray": [to_string(f) for f in spray.F],
-        "cross_formulas": {key: {"residual": val,
-                                 "pass": bool(val <= tol["identity"])}
+        "cross_formulas": {key: _residual_entry(val, tol["identity"])
                            for key, val in cross.items()},
-        "metric_compatibility": {key: {"residual": val,
-                                       "pass": bool(val <= tol["identity"])}
+        "metric_compatibility": {key: _residual_entry(val, tol["identity"])
                                  for key, val in compat.items()},
         "companion_signature": list(signature),
     }
@@ -525,6 +532,7 @@ def main(argv=None) -> int:
                                     f"task {args.task!r} needs a problem file",
                                     "problem")
             report = run(args.problem, args.task)
+        text = serialize_report(report)
     except CliInputError as exc:
         sys.stdout.write(serialize_report(
             {"error": {"kind": exc.kind, "message": str(exc),
@@ -550,7 +558,7 @@ def main(argv=None) -> int:
                        "location": None}}))
         return 2
 
-    sys.stdout.write(serialize_report(report))
+    sys.stdout.write(text)
     if args.task == "selftest":
         for row in report["criteria"]:
             status = "pass" if row["pass"] else "FAIL"

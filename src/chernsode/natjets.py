@@ -36,7 +36,7 @@ from .expressions import (
 )
 from .sode import (
     HALF, QUARTER, JetPoint1, SodeSystem, as_expr, eval_array, expr_array,
-    numeric_rank, _diff,
+    numeric_rank, worst_abs, _diff,
 )
 
 __all__ = [
@@ -316,16 +316,7 @@ class UJet:
 
     def values_for(self, u, env):
         """Numeric placeholder values for a concrete field at a base point."""
-        out = []
-        for i in range(self.vars.n):
-            for k in range(self.order + 1):
-                base = (self.vars.time,) + tuple(self.vars.positions)
-                for combo in itertools.combinations_with_replacement(base, k):
-                    e = u[i]
-                    for d in combo:
-                        e = _diff(e, d)
-                    out.append(evaluate(e, env))
-        return out
+        return [evaluate(e, env) for e in self.substitution_for(u).values()]
 
     def random_values(self, count, seed, degree=4):
         """Placeholder values of `count` random centered polynomial fields
@@ -347,7 +338,6 @@ class UJet:
     def substitution_for(self, u):
         """Placeholder -> derivative expression of a concrete field."""
         out = {}
-        base = (self.vars.time,) + tuple(self.vars.positions)
         for (i, combo), name in self.index.items():
             e = u[i]
             for d in combo:
@@ -502,7 +492,10 @@ def infinitesimal_equivariance(s: SodeSystem, u, p: JetPoint1):
     - u^r_{,j} y_T[k][i][r].  Both laws are the derivative of the finite
     transformation (conjugation on the upper slot, inverse-Jacobian action
     on each lower slot); they are what the chain rule produces and what the
-    order-of-convergence test against finite pushes confirms."""
+    order-of-convergence test against finite pushes confirms.  Both
+    residuals are NaN when a jet value at p, of s or of u, is not finite:
+    neither law is then evaluated, not even the T law at n = 1, which has
+    no component."""
     n = s.n
     js = jet_space(s.vars)
     ujet, lhs_P, lhs_T = _equivariance_lhs_exprs(s.vars)
@@ -512,6 +505,8 @@ def infinitesimal_equivariance(s: SodeSystem, u, p: JetPoint1):
     names = js.all_coords + tuple(ujet.names)
     values = [env[name] for name in js.all_coords] \
         + ujet.values_for(u, base_env)
+    if math.isnan(worst_abs(values)):
+        return float("nan"), float("nan")
 
     def field_apply(lhs):
         return compile_expr(as_expr(lhs), names)(values)
@@ -522,25 +517,17 @@ def infinitesimal_equivariance(s: SodeSystem, u, p: JetPoint1):
         for r in range(n):
             u_x[i, r] = evaluate(_diff(u[i], s.vars.positions[r]), base_env)
 
-    res_p = 0.0
-    for i in range(n):
-        for j in range(n):
-            lhs = field_apply(lhs_P[i, j])
-            rhs = sum(u_x[i, r] * yv.y_P[r, j] - u_x[r, j] * yv.y_P[i, r]
-                      for r in range(n))
-            res_p = max(res_p, abs(lhs - rhs))
-
-    res_t = 0.0
-    for k in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = field_apply(lhs_T[k, i, j])
-                rhs = sum(u_x[k, r] * yv.y_T[r, i, j]
-                          - u_x[r, i] * yv.y_T[k, r, j]
-                          - u_x[r, j] * yv.y_T[k, i, r]
-                          for r in range(n))
-                res_t = max(res_t, abs(lhs - rhs))
-    return res_p, res_t
+    delta_p = [field_apply(lhs_P[i, j])
+               - sum(u_x[i, r] * yv.y_P[r, j] - u_x[r, j] * yv.y_P[i, r]
+                     for r in range(n))
+               for i in range(n) for j in range(n)]
+    delta_t = [field_apply(lhs_T[k, i, j])
+               - sum(u_x[k, r] * yv.y_T[r, i, j]
+                     - u_x[r, i] * yv.y_T[k, r, j]
+                     - u_x[r, j] * yv.y_T[k, i, r]
+                     for r in range(n))
+               for k in range(n) for i in range(n) for j in range(i + 1, n)]
+    return worst_abs(delta_p), worst_abs(delta_t)
 
 
 # --------------------------------------------------------------------------
@@ -682,7 +669,7 @@ class VerticalAutomorphism:
                 env2 = dict(env)
                 env2.update(zip(self.vars.positions, pushed))
                 back = [evaluate(c, env2) for c in self.inverse]
-                if max(abs(b - xi) for b, xi in zip(back, p.x)) > roundtrip_tol:
+                if not worst_abs(np.subtract(back, p.x)) <= roundtrip_tol:
                     raise ValueError(f"inverse fails round-trip at {p}")
 
     def inverted(self) -> "VerticalAutomorphism":
@@ -942,9 +929,10 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
     jac = auto.jacobian()
     sc = splitting_curvature(s, check="none")
 
-    res = {k: 0.0 for k in ("eq_partialF", "eq_Partial2F", "frame_push",
-                            "torsion_equivariance", "curvature_equivariance",
-                            "kosambi_match")}
+    deltas = {k: [] for k in ("eq_partialF", "eq_Partial2F", "frame_push",
+                              "torsion_equivariance", "curvature_equivariance",
+                              "kosambi_match")}
+    dM = _chain_rule_exprs((auto, s))[4]     # Jacobian of the 1-jet map
     for p in points:
         env = p.env(vars)
         values = [env[name] for name in vars.names]
@@ -965,8 +953,7 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
                               var(vars.velocities[r])) for r in range(n)]),
                     env)
         rhs1 = 2.0 * flow_phi @ jx_inv + jx @ j2.F_v @ jx_inv
-        res["eq_partialF"] = max(res["eq_partialF"],
-                                 float(np.max(np.abs(fd - rhs1))))
+        deltas["eq_partialF"].append(fd - rhs1)
 
         # (ii) second derivative law against the chain-rule jet
         lhs2 = pushed.F_vv
@@ -981,24 +968,18 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
         # phi_xx v v term contributes twice
         rhs2 = 2.0 * np.einsum("hab,ai,bj->hij", phi_xx, jx_inv, jx_inv) \
             + np.einsum("ha,abc,cj,bi->hij", jx, j2.F_vv, jx_inv, jx_inv)
-        res["eq_Partial2F"] = max(res["eq_Partial2F"],
-                                  float(np.max(np.abs(lhs2 - rhs2))))
+        deltas["eq_Partial2F"].append(lhs2 - rhs2)
 
         # (iii) frame pushforwards
-        jmap = np.array(
-            [[compile_expr(as_expr(_diff(as_expr(m), c)), vars.names)(values)
-              for c in s.coords] for m in prolong1_map(auto)])
+        jmap = eval_array(dM, vars.names, values)
         frame_p, _ = _frame_matrices_from_jet(j2)
         frame_q, coframe_q = _frame_matrices_from_jet(pushed)
-        worst = float(np.max(np.abs(jmap @ frame_p[:, 0] - frame_q[:, 0])))
+        deltas["frame_push"].append(jmap @ frame_p[:, 0] - frame_q[:, 0])
         for i in range(n):
             target = sum(jx[h, i] * frame_q[:, 1 + h] for h in range(n))
-            worst = max(worst, float(np.max(np.abs(
-                jmap @ frame_p[:, 1 + i] - target))))
+            deltas["frame_push"].append(jmap @ frame_p[:, 1 + i] - target)
             target = sum(jx[h, i] * frame_q[:, 1 + n + h] for h in range(n))
-            worst = max(worst, float(np.max(np.abs(
-                jmap @ frame_p[:, 1 + n + i] - target))))
-        res["frame_push"] = max(res["frame_push"], worst)
+            deltas["frame_push"].append(jmap @ frame_p[:, 1 + n + i] - target)
 
         # pushed splitting curvature from the pushed jet
         yv = curvature_mapping(pushed, vars)
@@ -1008,7 +989,6 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
 
         # (iv) torsion equivariance on frame pairs
         tor_here, tor_push = TorsionTensor(P_here, T_here), TorsionTensor(P_push, T_push)
-        worst = 0.0
         for a in range(dim):
             for b in range(a + 1, dim):
                 val = tor_here.apply(np.eye(dim)[a], np.eye(dim)[b])
@@ -1016,18 +996,12 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
                 xa = coframe_q @ (jmap @ frame_p[:, a])
                 xb = coframe_q @ (jmap @ frame_p[:, b])
                 lhs = frame_q @ tor_push.apply(xa, xb)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        res["torsion_equivariance"] = max(res["torsion_equivariance"], worst)
+                deltas["torsion_equivariance"].append(lhs - rhs)
 
         # (v) curvature-mapping equivariance
         conj = jx @ P_here @ jx_inv
-        worst = float(np.max(np.abs(P_push - conj)))
         t_conj = np.einsum("mk,kab,ac,bd->mcd", jx, T_here, jx_inv, jx_inv)
-        worst = max(worst, float(np.max(np.abs(T_push - t_conj))))
-        res["curvature_equivariance"] = max(res["curvature_equivariance"], worst)
+        deltas["curvature_equivariance"] += [P_push - conj, T_push - t_conj]
 
-        here = np.poly(-P_here)
-        there = np.poly(-P_push)
-        res["kosambi_match"] = max(res["kosambi_match"],
-                                   float(np.max(np.abs(here - there))))
-    return res
+        deltas["kosambi_match"].append(np.poly(-P_here) - np.poly(-P_push))
+    return {key: worst_abs(*arrays) for key, arrays in deltas.items()}

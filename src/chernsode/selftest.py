@@ -15,7 +15,7 @@ from .expressions import (
 )
 from .sode import (
     SodeSystem, max_abs, random_polynomial_sode, sample_points,
-    splitting_curvature, zero_symbolically, _diff,
+    splitting_curvature, worst_abs, zero_symbolically, _diff,
 )
 from .chern import (
     curvature_components, curvature_oracle_residual, eigenstructure_residual,
@@ -54,7 +54,7 @@ def _cubic():
 
 def criterion_flat_suite():
     """C1: everything vanishes for the zero system, n in {1, 2, 3}."""
-    worst = 0.0
+    numeric = []
     symbolic_ok = True
     for n in (1, 2, 3):
         s = _flat(n)
@@ -67,8 +67,9 @@ def criterion_flat_suite():
         symbolic_ok &= all(zero_symbolically(c) for c in kos.charpoly[1:])
         pts = sample_points(s.vars, 100, seed=100 + n)
         tail = np.asarray(kos.charpoly[1:], dtype=object)
-        for arr in (sc.P, sc.T, comp.A, comp.B, comp.R, tail):
-            worst = max(worst, max_abs(arr, s, pts))
+        numeric += [max_abs(arr, s, pts)
+                    for arr in (sc.P, sc.T, comp.A, comp.B, comp.R, tail)]
+    worst = worst_abs(numeric)
     ok = symbolic_ok and worst <= 1e-12
     return {"id": "C1", "name": "flat suite", "pass": bool(ok),
             "details": {"symbolic_zero": bool(symbolic_ok),
@@ -82,22 +83,21 @@ def battery_systems(count=20, n=2, base_seed=3000):
 def criterion_identity_battery(count=20, points_per=50):
     """C2: structure identities, both oracles and the four characterization
     items on seeded random systems; C3 shares its points (eigenstructure)."""
-    worst = {"eq_As": 0.0, "eq_3T": 0.0, "torsion_oracle": 0.0,
-             "curvature_oracle": 0.0, "flow_parallel": 0.0,
-             "eigenstructure_parallel": 0.0, "swap_parallel": 0.0,
-             "torsion_match": 0.0}
-    eigen = 0.0
+    found = {key: [] for key in (
+        "eq_As", "eq_3T", "torsion_oracle", "curvature_oracle",
+        "flow_parallel", "eigenstructure_parallel", "swap_parallel",
+        "torsion_match", "eigen")}
     for k, s in enumerate(battery_systems(count)):
         pts = sample_points(s.vars, points_per, seed=500 + k)
-        for key, val in verify_structure_identities(s, pts).items():
-            worst[key] = max(worst[key], val)
-        worst["torsion_oracle"] = max(worst["torsion_oracle"],
-                                      torsion_oracle_residual(s, pts))
-        worst["curvature_oracle"] = max(worst["curvature_oracle"],
-                                        curvature_oracle_residual(s, pts))
-        for key, val in verify_characterization(s, pts).items():
-            worst[key] = max(worst[key], val)
-        eigen = max(eigen, eigenstructure_residual(s, pts))
+        row = dict(verify_structure_identities(s, pts),
+                   torsion_oracle=torsion_oracle_residual(s, pts),
+                   curvature_oracle=curvature_oracle_residual(s, pts),
+                   **verify_characterization(s, pts),
+                   eigen=eigenstructure_residual(s, pts))
+        for key, val in row.items():
+            found[key].append(val)
+    worst = {key: worst_abs(vals) for key, vals in found.items()}
+    eigen = worst.pop("eigen")
     ok = all(v <= 1e-9 for v in worst.values())
     return ({"id": "C2", "name": "identity battery", "pass": bool(ok),
              "details": dict(worst)},
@@ -125,10 +125,10 @@ def criterion_riemann_bridge():
     vars = VarSet.default(2)
     details = {}
     flat_res = cross_check(flat_metric(vars), count=50, seed=41)
-    details["flat_cross_max"] = max(flat_res.values())
+    details["flat_cross_max"] = worst_abs(list(flat_res.values()))
     sph = sphere_metric(vars)
     sph_res = cross_check(sph, count=50, seed=42)
-    details["sphere_cross_max"] = max(sph_res.values())
+    details["sphere_cross_max"] = worst_abs(list(sph_res.values()))
     compat = metric_compatibility(sph, count=50, seed=43)
     details["sphere_eq_PDE"] = compat["eq_PDE"]
     details["sphere_parallel_metric"] = compat["parallel_block_metric"]
@@ -150,13 +150,14 @@ def criterion_functoriality(n_autos=10, n_systems=5, points_per=4):
     vars = VarSet.default(2)
     systems = [random_polynomial_sode(2, seed=7000 + k)
                for k in range(n_systems)]
-    worst = {}
+    found = {}
     for k in range(n_autos):
         auto = random_automorphism(vars, seed=8000 + k)
         s = systems[k % n_systems]
         pts = sample_points(vars, points_per, seed=650 + k)
         for key, val in verify_functoriality(auto, s, pts).items():
-            worst[key] = max(worst.get(key, 0.0), val)
+            found.setdefault(key, []).append(val)
+    worst = {key: worst_abs(vals) for key, vals in found.items()}
     ok = all(v <= 1e-8 for v in worst.values())
     return {"id": "C6", "name": "functoriality", "pass": bool(ok),
             "details": dict(worst)}
@@ -201,12 +202,13 @@ def criterion_curvature_mapping(triples=20):
                 for k in range(n):
                     symbolic_ok &= zero_symbolically(
                         substitute(y_T[i, j, k], sub) + sc.T[i, j, k])
-    worst = 0.0
+    pairs = []
     for k in range(triples):
         s = random_polynomial_sode(2, seed=1300 + k)
         u = random_polynomial_field(s.vars, seed=1400 + k, degree=3)
         p = sample_points(s.vars, 1, seed=70 + k)[0]
-        worst = max(worst, *infinitesimal_equivariance(s, u, p))
+        pairs.append(infinitesimal_equivariance(s, u, p))
+    worst = worst_abs(pairs)
     ok = symbolic_ok and worst <= 1e-8
     return {"id": "C8", "name": "curvature-mapping consistency",
             "pass": bool(ok),
@@ -284,8 +286,7 @@ def criterion_fd_oracle(points_per=20):
     from .expressions import compile_expr
     rng = np.random.default_rng(99)
     pool = _expression_pool()
-    worst = 0.0
-    checked = 0
+    relative = []
     h = 1e-4
     for e in pool:
         names = sorted(free_variables(e))
@@ -304,13 +305,12 @@ def criterion_fd_oracle(points_per=20):
         d_h2 = (shifted(h / 2) - shifted(-h / 2)) / h
         approx = (4.0 * d_h2 - d_h) / 3.0
         exact = dfn(base)
-        rel = np.max(np.abs(approx - exact) / (1.0 + np.abs(exact)))
-        worst = max(worst, float(rel))
-        checked += 1
+        relative.append(np.abs(approx - exact) / (1.0 + np.abs(exact)))
+    worst = worst_abs(*relative)
     ok = worst <= 1e-6
     return {"id": "C11", "name": "derivative oracle agreement",
             "pass": bool(ok),
-            "details": {"expressions": checked, "worst_relative": worst}}
+            "details": {"expressions": len(relative), "worst_relative": worst}}
 
 
 def _determinism_probe():

@@ -10,9 +10,11 @@ brackets of the frame fields as the oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,22 +172,45 @@ def max_abs(M, s: SodeSystem, points) -> float:
     return reduce_residual([(None, M)], s, point_batch(s.vars, points))[0]
 
 
-def reduce_residual(blocks, s: SodeSystem, batch):
-    """(worst |value|, its array's label, count of NaN and inf values) over
-    (label, Expr array) pairs, one entry at a time on a point batch.  A
-    non-finite value ranks above every finite one: `worst` is then NaN and
-    `label` names the first array holding one."""
-    worst, worst_label, nonfinite = 0.0, None, 0
+def worst_abs(*values) -> float:
+    """The one residual fold: max |v| over every entry of the given scalars
+    and arrays, 0.0 when there is none, NaN as soon as one is not finite."""
+    flat = [np.ravel(v) for v in values]
+    if not sum(a.size for a in flat):
+        return 0.0
+    worst = float(np.max(np.abs(np.concatenate(flat))))
+    return worst if math.isfinite(worst) else float("nan")
+
+
+class Residual(NamedTuple):
+    """Worst |value| over labelled Expr arrays, where it sits (label, flat
+    entry index, point index) and its signed value, plus the count of NaN
+    and inf values."""
+
+    worst: float
+    label: object
+    nonfinite: int
+    entry: int | None
+    point: int | None
+    value: float | None
+
+
+def reduce_residual(blocks, s: SodeSystem, batch) -> Residual:
+    """Reduce (label, Expr array) pairs one entry at a time on a point batch.
+    A non-finite value ranks above every finite one: `worst` is then NaN and
+    the witness is the first block, entry and point holding one.  Among
+    finite values the first largest |value| wins."""
+    out, nonfinite = Residual(0.0, None, 0, None, None, None), 0
     for label, arr in blocks:
-        for e in np.asarray(arr, dtype=object).flat:
-            vals = np.abs(compile_expr(as_expr(e), s.vars.names)(batch))
-            bad = int(np.size(vals) - np.count_nonzero(np.isfinite(vals)))
-            if bad and not nonfinite:
-                worst, worst_label = float("nan"), label
-            nonfinite += bad
-            if not nonfinite and np.size(vals) and np.max(vals) > worst:
-                worst, worst_label = float(np.max(vals)), label
-    return worst, worst_label, nonfinite
+        for entry, e in enumerate(np.asarray(arr, dtype=object).flat):
+            vals = np.ravel(compile_expr(as_expr(e), s.vars.names)(batch))
+            top = worst_abs(vals)
+            bad = np.flatnonzero(~np.isfinite(vals)) if math.isnan(top) else []
+            if not nonfinite and (len(bad) or top > out.worst):
+                k = bad[0] if len(bad) else np.argmax(np.abs(vals))
+                out = Residual(top, label, 0, entry, int(k), float(vals[k]))
+            nonfinite += len(bad)
+    return out._replace(nonfinite=nonfinite)
 
 
 def check_residual(blocks, s: SodeSystem, mode, points, tol, seed):
@@ -201,11 +226,11 @@ def check_residual(blocks, s: SodeSystem, mode, points, tol, seed):
         return
     if points is None:
         points = sample_points(s.vars, 12, seed)
-    worst, label, nonfinite = reduce_residual(blocks, s, point_batch(s.vars, points))
-    if nonfinite:
-        raise OracleMismatch(f"{label}: {nonfinite} non-finite values")
-    if worst > tol:
-        raise OracleMismatch(f"{label}: residual {worst:.3e} > {tol:g}")
+    r = reduce_residual(blocks, s, point_batch(s.vars, points))
+    if r.nonfinite:
+        raise OracleMismatch(f"{r.label}: {r.nonfinite} non-finite values")
+    if r.worst > tol:
+        raise OracleMismatch(f"{r.label}: residual {r.worst:.3e} > {tol:g}")
 
 
 def sample_points(vars: VarSet, count, seed, box=None) -> list:
