@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .expressions import ZERO, add, mul
+from .expressions import ZERO, add, mul, simplify
 from .sode import (
     HALF, SodeSystem, as_expr, bracket, check_residual, coframe_symbolic,
     directional, endomorphism_E, eval_array, expr_array, f_v, f_vv, f_vvv,
@@ -141,6 +141,15 @@ def _frame_covariant(s: SodeSystem, gamma, S, slots, a) -> np.ndarray:
                 terms.append(mul(other, gamma[a, d, idx[axis]]) if slot == "u"
                              else mul(-1, gamma[a, idx[axis], d], other))
         out[idx] = add(*terms)
+    return out
+
+
+def _simplified(S) -> np.ndarray:
+    """S with every entry simplified: constant frame components fold to
+    Const, whose frame derivatives are ZERO."""
+    out = expr_array(S.shape)
+    for idx in np.ndindex(out.shape):
+        out[idx] = simplify(as_expr(S[idx]))
     return out
 
 
@@ -320,19 +329,29 @@ def verify_characterization(s: SodeSystem, points, w_shift=0) -> dict:
     (1) the dynamical flow is parallel, (2) the eigenstructure endomorphism
     L_X J is parallel, (3) the swap endomorphism is parallel, (4) the torsion
     equals the prescribed tensor.  `w_shift` perturbs the connection (for
-    uniqueness checks the residual of (4) must then blow up)."""
+    uniqueness checks the residual of (4) must then blow up).
+
+    For (1)-(3) the frame components S are simplified once: they are the
+    constants e_0, diag(0, -I, I) and the block swap, so D_{e_a}S reduces to
+    its Gamma terms, and an entry that does not simplify to a constant is
+    still differentiated.  Each residual also takes in the certificate
+    S - simplify(S) on the same points, which keeps it NaN wherever S is not
+    finite."""
     n2 = 2 * s.n + 1
     gamma = frame_christoffels(s, w_shift=w_shift)
     coframe = coframe_symbolic(s)
     frame = frame_symbolic(s)
     batch = point_batch(s.vars, points)
 
-    r1, r2, r3 = (
-        reduce_residual([(a, _frame_covariant(s, gamma, S, slots, a))
-                         for a in range(n2)], s, batch)[0]
-        for S, slots in ((coframe @ frame[:, 0], "u"),
-                         (coframe @ lie_derivative_J(s) @ frame, "ul"),
-                         (coframe @ endomorphism_E(s) @ frame, "ul")))
+    def parallel(S, slots):
+        const_S = _simplified(S)
+        return reduce_residual(
+            [(a, _frame_covariant(s, gamma, const_S, slots, a))
+             for a in range(n2)] + [("constancy", S - const_S)], s, batch)[0]
+
+    r1 = parallel(coframe @ frame[:, 0], "u")
+    r2 = parallel(coframe @ lie_derivative_J(s) @ frame, "ul")
+    r3 = parallel(coframe @ endomorphism_E(s) @ frame, "ul")
 
     r4 = reduce_residual(_torsion_deltas(s, torsion(s, check="none"), gamma),
                          s, batch)[0]
@@ -389,9 +408,12 @@ def curvature_oracle_residual(s: SodeSystem, points) -> float:
 
 def eigenstructure_residual(s: SodeSystem, points) -> float:
     """Distance of the eigenvalues of L_X J to the multiset
-    {0, +1 (n times), -1 (n times)}, maximised over points."""
+    {0, +1 (n times), -1 (n times)}, maximised over points; NaN when L_X J
+    is not finite at some point."""
     L = lie_derivative_J(s)
     vals = eval_array(L, s.vars.names, point_batch(s.vars, points))
+    if not np.isfinite(vals).all():
+        return float("nan")
     expected = np.sort(np.array([0.0] + [1.0] * s.n + [-1.0] * s.n))
     eigs = np.linalg.eigvals(vals.transpose(2, 0, 1))
     return worst_abs(np.sort(eigs.real) - expected, eigs.imag)

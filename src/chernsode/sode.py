@@ -46,7 +46,7 @@ class JetPoint1:
         object.__setattr__(self, "x", tuple(float(c) for c in self.x))
         object.__setattr__(self, "v", tuple(float(c) for c in self.v))
         for c in (self.t,) + self.x + self.v:
-            if not np.isfinite(c):
+            if not math.isfinite(c):
                 raise ValueError("jet point components must be finite")
 
     def env(self, vars: VarSet) -> dict:
@@ -163,9 +163,10 @@ def numeric_rank(rows, tol=1e-8):
 
 
 def point_batch(vars: VarSet, points) -> list:
-    """Column batch (one array per variable) from a list of JetPoint1."""
-    envs = [p.env(vars) for p in points]
-    return [np.array([e[name] for e in envs]) for name in vars.names]
+    """Column batch (one array per variable, in `vars.names` order: t, x, v)
+    from a list of JetPoint1."""
+    rows = np.array([(p.t, *p.x, *p.v) for p in points], dtype=float)
+    return list(rows.reshape(len(points), 2 * vars.n + 1).T.copy())
 
 
 def max_abs(M, s: SodeSystem, points) -> float:
@@ -199,10 +200,13 @@ def reduce_residual(blocks, s: SodeSystem, batch) -> Residual:
     """Reduce (label, Expr array) pairs one entry at a time on a point batch.
     A non-finite value ranks above every finite one: `worst` is then NaN and
     the witness is the first block, entry and point holding one.  Among
-    finite values the first largest |value| wins."""
+    finite values the first largest |value| wins, so a ZERO entry, which
+    can never win, is not evaluated."""
     out, nonfinite = Residual(0.0, None, 0, None, None, None), 0
     for label, arr in blocks:
         for entry, e in enumerate(np.asarray(arr, dtype=object).flat):
+            if e is ZERO:
+                continue
             vals = np.ravel(compile_expr(as_expr(e), s.vars.names)(batch))
             top = worst_abs(vals)
             bad = np.flatnonzero(~np.isfinite(vals)) if math.isnan(top) else []
@@ -240,15 +244,14 @@ def sample_points(vars: VarSet, count, seed, box=None) -> list:
     box.setdefault("time", (0.0, 1.0))
     box.setdefault("position", (-1.0, 1.0))
     box.setdefault("velocity", (-1.0, 1.0))
-    rng = np.random.default_rng(seed)
     n = vars.n
-    points = []
-    for _ in range(count):
-        t = rng.uniform(*box["time"])
-        x = rng.uniform(*box["position"], size=n)
-        v = rng.uniform(*box["velocity"], size=n)
-        points.append(JetPoint1(t, tuple(x), tuple(v)))
-    return points
+    lo, hi = np.array([box["time"]] + [box["position"]] * n
+                      + [box["velocity"]] * n, dtype=float).T
+    # one (t, x, v) row per point: the doubles, in the order, that one
+    # rng.uniform call per role and point would draw
+    rows = lo + (hi - lo) * np.random.default_rng(seed).random((count, 2 * n + 1))
+    return [JetPoint1(r[0], tuple(r[1:1 + n]), tuple(r[1 + n:]))
+            for r in rows.tolist()]
 
 
 def zero_symbolically(e: Expr) -> bool:

@@ -386,3 +386,56 @@ class TestNonFiniteResiduals:
                   *verify_characterization(self.S, self.PTS).values(),
                   *verify_structure_identities(self.S, self.PTS).values()]
         assert all(math.isnan(v) for v in values), values
+
+
+def _expected_constant_frames(n):
+    """e_0, diag(0, -I, I) and the swap of the two n-blocks."""
+    n2 = 2 * n + 1
+    flow = np.zeros(n2)
+    flow[0] = 1
+    lxj = np.diag([0.0] + [-1.0] * n + [1.0] * n)
+    swap = np.zeros((n2, n2))
+    swap[1:1 + n, 1 + n:] = swap[1 + n:, 1:1 + n] = np.eye(n)
+    return flow, lxj, swap
+
+
+@pytest.mark.parametrize("s", [
+    random_polynomial_sode(1, seed=500), random_polynomial_sode(2, seed=501),
+    make(2, "sin(x1)*v2^2 + exp(t)*v1", "cos(x2)*v1*v2 - x1*v2^3")],
+    ids=["poly1", "poly2", "trig2"])
+def test_characterization_frames_simplify_to_constants(s):
+    """The symbolic certificate behind verify_characterization: theta.X,
+    theta.L_X J.e and theta.E.e simplify to exact constants."""
+    frame, coframe = frame_symbolic(s), coframe_symbolic(s)
+    got = [chern._simplified(S) for S in (
+        coframe @ frame[:, 0], coframe @ lie_derivative_J(s) @ frame,
+        coframe @ endomorphism_E(s) @ frame)]
+    for S, want in zip(got, _expected_constant_frames(s.n)):
+        assert list(S.flat) == [const(c) for c in want.flat]
+
+
+def test_non_constant_frame_entry_still_differentiated(monkeypatch):
+    """Entries of theta.L_X J.e that do not simplify to constants keep their
+    frame derivatives.  L_X J + x1*I commutes with every Gamma_a, so only the
+    derivative e_a(x1) can show that it is not parallel."""
+    good = chern.lie_derivative_J
+
+    def perturbed(system):
+        L = good(system)
+        for k in range(len(L)):
+            L[k, k] = add(L[k, k], var("x1"))
+        return L
+
+    monkeypatch.setattr(chern, "lie_derivative_J", perturbed)
+    s = random_polynomial_sode(1, seed=3)
+    res = verify_characterization(s, sample_points(s.vars, 10, seed=3))
+    assert res["eigenstructure_parallel"] > 1e-3, res
+    assert res["flow_parallel"] <= 1e-10 and res["swap_parallel"] <= 1e-10
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eigenstructure_residual_nan_outside_domain():
+    s = TestNonFiniteResiduals.S
+    assert math.isnan(chern.eigenstructure_residual(s, TestNonFiniteResiduals.PTS))
+    assert chern.eigenstructure_residual(s, sample_points(
+        s.vars, 10, 3, {"position": (0.1, 1.0)})) < 1e-12

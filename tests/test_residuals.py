@@ -130,3 +130,32 @@ class TestReports:
         assert cli.main(["analyze", path]) == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert "non-finite" in err["message"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_non_finite_every_residual_null(tmp_path, capsys):
+    path = write(tmp_path, {"dimension": 1, "F": ["sqrt(x1)*v1^2"],
+                            "samples": {"mode": "random", "count": 6,
+                                        "seed": 1}})
+    assert cli.main(["verify", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    residuals = report["residuals"]
+    assert "eigenstructure" in residuals
+    assert all(r["residual"] is None and r["pass"] is False
+               for r in residuals.values()), residuals
+    assert report["pass"] is False
+
+
+def test_reduce_skips_zero_entries(monkeypatch):
+    """ZERO entries are not compiled, and the witness still counts them."""
+    from chernsode import sode
+    from chernsode.expressions import ZERO
+    compiled, real = [], sode.compile_expr
+    monkeypatch.setattr(sode, "compile_expr",
+                        lambda e, names: compiled.append(e) or real(e, names))
+    case = TestReduceResidualWitness
+    two_x = parse("2*x1", case.S.vars)
+    r = reduce_residual([("a", [ZERO, ZERO]), ("b", [ZERO, two_x, ZERO])],
+                        case.S, point_batch(case.S.vars, case.PTS))
+    assert (r.worst, r.label, r.entry, r.point) == (2.0, "b", 1, 1)
+    assert compiled == [two_x]

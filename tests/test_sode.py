@@ -212,3 +212,37 @@ def test_point_batch_shapes():
     pts = sample_points(VarSet.default(2), 7, seed=1)
     batch = point_batch(VarSet.default(2), pts)
     assert len(batch) == 5 and all(arr.shape == (7,) for arr in batch)
+
+
+def _per_point_sample(vars, count, seed, box):
+    """The per-point draw that sample_points replaced: t, then x, then v."""
+    rng = np.random.default_rng(seed)
+    return [JetPoint1(rng.uniform(*box["time"]),
+                      tuple(rng.uniform(*box["position"], size=vars.n)),
+                      tuple(rng.uniform(*box["velocity"], size=vars.n)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("box", [
+    None, {"time": (2.0, 5.5), "position": (0.1, 3.0), "velocity": (-7, -2)}])
+def test_sample_points_match_per_point_draw(n, box):
+    vars = VarSet.default(n)
+    full = {"time": (0.0, 1.0), "position": (-1.0, 1.0),
+            "velocity": (-1.0, 1.0), **(box or {})}
+    got = sample_points(vars, 500, 11, box)
+    assert got == _per_point_sample(vars, 500, 11, full)
+    assert all(type(c) is float for p in got for c in (p.t,) + p.x + p.v)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_point_batch_matches_env_columns(n):
+    vars = VarSet.default(n)
+    for pts in (sample_points(vars, 200, 5), []):
+        envs = [p.env(vars) for p in pts]
+        want = [np.array([e[name] for e in envs]) for name in vars.names]
+        got = point_batch(vars, pts)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.flags.c_contiguous and np.array_equal(g, w)
