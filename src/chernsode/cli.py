@@ -299,8 +299,12 @@ def _residual_entry(val, tol, **extra):
             "pass": bool(finite and val <= tol)}
 
 
+def _point(p):
+    return [p.t, list(p.x), list(p.v)]
+
+
 def _point_list(points):
-    return [[p.t, list(p.x), list(p.v)] for p in points]
+    return [_point(p) for p in points]
 
 
 def task_analyze(problem: Problem) -> dict:
@@ -343,8 +347,7 @@ def _condition_dict(result):
         w = result.witness
         out["witness"] = {
             "component": w["component"],
-            "point": None if w["point"] is None else
-            [w["point"].t, list(w["point"].x), list(w["point"].v)],
+            "point": None if w["point"] is None else _point(w["point"]),
             "value": w["value"],
         }
     return out
@@ -392,21 +395,36 @@ def task_verify(problem: Problem) -> dict:
     return report
 
 
+def _on_samples(fn, points):
+    """fn(points); when that raises a domain error, fn is rerun one sample at
+    a time so that the error names the first sample it fails on."""
+    try:
+        return fn(points)
+    except (DomainError, ZeroDivisionError):
+        for k, p in enumerate(points):
+            try:
+                fn([p])
+            except (DomainError, ZeroDivisionError) as exc:
+                raise CliInputError("DomainError", str(exc),
+                                    f"samples.points[{k}]") from None
+        raise
+
+
 def task_push(problem: Problem) -> dict:
     if problem.automorphism is None:
         raise CliInputError("validation", "push needs an automorphism",
                             "automorphism")
     s, pts = problem.system, problem.points
     auto = problem.automorphism
-    auto.validate(pts)
+    _on_samples(auto.validate, pts)
     tol = problem.tolerances["identity"]
-    res = verify_functoriality(auto, s, pts)
+    res = _on_samples(lambda ps: verify_functoriality(auto, s, ps), pts)
     report = {
-        "matched_points": [
-            {"source": [p.t, list(p.x), list(p.v)],
-             "pushed": (lambda q: [q.t, list(q.x), list(q.v)])(prolong1(auto, p)),
+        "matched_points": _on_samples(lambda ps: [
+            {"source": _point(p),
+             "pushed": _point(prolong1(auto, p)),
              "pushed_value": push_sode_value(auto, s, p).tolist()}
-            for p in pts],
+            for p in ps], pts),
         "residuals": {key: _residual_entry(val, tol)
                       for key, val in res.items()},
     }
@@ -524,14 +542,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.task == "selftest":
-            report = run_selftest()
-        else:
-            if args.problem is None:
-                raise CliInputError("validation",
-                                    f"task {args.task!r} needs a problem file",
-                                    "problem")
-            report = run(args.problem, args.task)
+        # a value that is not finite reaches the report as a null residual
+        # that fails, so numpy's warnings about it would only be noise
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if args.task == "selftest":
+                report = run_selftest()
+            else:
+                if args.problem is None:
+                    raise CliInputError(
+                        "validation", f"task {args.task!r} needs a problem "
+                        "file", "problem")
+                report = run(args.problem, args.task)
         text = serialize_report(report)
     except CliInputError as exc:
         sys.stdout.write(serialize_report(

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -212,22 +213,37 @@ def var(name: str) -> Var:
     return Var(name)
 
 
+# add and mul fold every constant operand (and every constant term or factor
+# of a flattened Add or Mul) into one: zeros in a sum and ones in a product are
+# skipped, a lone constant passes through as it is, and Fraction arithmetic
+# runs only where two other constants meet.  The folded constant goes last in
+# a sum and first in a product.
+
 def add(*xs) -> Expr:
     terms = []
-    c = Fraction(0)
-    for x in map(_coerce, xs):
-        if isinstance(x, Const):
-            c += x.value
-        elif isinstance(x, Add):
-            for t in x.terms:
-                if isinstance(t, Const):
-                    c += t.value
-                else:
-                    terms.append(t)
-        else:
+    c = None                    # the nonzero constant so far
+    for x in xs:
+        tx = type(x)
+        if tx is Add:
+            parts = x.terms
+        elif tx is Const:
+            parts = (x,)
+        elif isinstance(x, Expr):
             terms.append(x)
-    if c != 0:
-        terms.append(Const(c))
+            continue
+        else:
+            parts = (_coerce(x),)
+        for t in parts:
+            if type(t) is not Const:
+                terms.append(t)
+            elif t.value:
+                if c is None:
+                    c = t
+                else:
+                    s = c.value + t.value
+                    c = Const(s) if s else None
+    if c is not None:
+        terms.append(c)
     if not terms:
         return ZERO
     if len(terms) == 1:
@@ -237,22 +253,34 @@ def add(*xs) -> Expr:
 
 def mul(*xs) -> Expr:
     factors = []
-    c = Fraction(1)
-    for x in map(_coerce, xs):
-        if isinstance(x, Const):
-            c *= x.value
-        elif isinstance(x, Mul):
-            for f in x.factors:
-                if isinstance(f, Const):
-                    c *= f.value
-                else:
-                    factors.append(f)
-        else:
+    c = None                    # the constant other than 1 so far
+    zero = False
+    for x in xs:
+        tx = type(x)
+        if tx is Mul:
+            parts = x.factors
+        elif tx is Const:
+            parts = (x,)
+        elif isinstance(x, Expr):
             factors.append(x)
-    if c == 0:
+            continue
+        else:
+            parts = (_coerce(x),)
+        for f in parts:
+            if type(f) is not Const:
+                factors.append(f)
+            elif not f.value:
+                zero = True
+            elif f.value != 1:
+                if c is None:
+                    c = f
+                else:
+                    p = c.value * f.value
+                    c = None if p == 1 else Const(p)
+    if zero:
         return ZERO
-    if c != 1:
-        factors.insert(0, Const(c))
+    if c is not None:
+        factors.insert(0, c)
     if not factors:
         return ONE
     if len(factors) == 1:
@@ -925,21 +953,23 @@ def to_string(e: Expr) -> str:
 _NP_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
              "log": np.log, "sqrt": np.sqrt}
 
-_compile_cache: dict = {}
-
 _CHAIN = 64     # most operands on one emitted line of compile_expr
+
+# compiled kernels kept, least recently used dropped first; one CLI task or
+# one checked system reuses a few hundred at most
+_COMPILE_CACHE_SIZE = 1024
 
 
 def compile_expr(e: Expr, names):
     """Compile to f(values) where values is a sequence (scalars or numpy
     arrays) aligned with `names`.  No domain checking: the vectorised path is
-    for well-sampled batteries; use `evaluate` when DomainError matters."""
-    names = tuple(names)
-    key = (e, names)
-    fn = _compile_cache.get(key)
-    if fn is not None:
-        return fn
+    for well-sampled batteries; use `evaluate` when DomainError matters.
+    Kernels are memoised in a bounded LRU cache: `_compile.cache_info()`."""
+    return _compile(e, tuple(names))
 
+
+@lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+def _compile(e: Expr, names: tuple):
     index = {name: i for i, name in enumerate(names)}
     lines = []
     seen = {}
@@ -981,6 +1011,4 @@ def compile_expr(e: Expr, names):
     source = "def _f(V):\n" + "\n".join(lines) + f"\n    return {result}\n"
     namespace = {f"_{k}": v for k, v in _NP_FUNCS.items()}
     exec(compile(source, "<chernsode-expr>", "exec"), namespace)
-    fn = namespace["_f"]
-    _compile_cache[key] = fn
-    return fn
+    return namespace["_f"]

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -43,11 +44,11 @@ class JetPoint1:
     v: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(c) for c in self.x))
-        object.__setattr__(self, "v", tuple(float(c) for c in self.v))
-        for c in (self.t,) + self.x + self.v:
-            if not math.isfinite(c):
-                raise ValueError("jet point components must be finite")
+        x, v = tuple(map(float, self.x)), tuple(map(float, self.v))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "v", v)
+        if not all(map(math.isfinite, (self.t, *x, *v))):
+            raise ValueError("jet point components must be finite")
 
     def env(self, vars: VarSet) -> dict:
         out = {vars.time: float(self.t)}
@@ -165,8 +166,10 @@ def numeric_rank(rows, tol=1e-8):
 def point_batch(vars: VarSet, points) -> list:
     """Column batch (one array per variable, in `vars.names` order: t, x, v)
     from a list of JetPoint1."""
-    rows = np.array([(p.t, *p.x, *p.v) for p in points], dtype=float)
-    return list(rows.reshape(len(points), 2 * vars.n + 1).T.copy())
+    width = 2 * vars.n + 1
+    rows = np.fromiter(chain.from_iterable((p.t, *p.x, *p.v) for p in points),
+                       dtype=float, count=len(points) * width)
+    return list(rows.reshape(len(points), width).T.copy())
 
 
 def max_abs(M, s: SodeSystem, points) -> float:

@@ -214,3 +214,33 @@ def test_report_is_valid_json(tmp_path):
     parsed = json.loads(serialize_report(report))
     assert parsed["task"] == "classify"
     assert parsed["unimodular"]["status"] == "symbolic-zero"
+
+
+SQRT_F = {"dimension": 1, "F": ["sqrt(x1)*v1^2"]}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_outside_domain_is_quiet(tmp_path):
+    """Values that are not finite read null in the report; numpy's warnings
+    about them stay off stderr."""
+    path = write(tmp_path, {**SQRT_F, "samples": {"mode": "random",
+                                                  "count": 6, "seed": 1}})
+    proc = subprocess.run([sys.executable, "-m", "chernsode.cli", "verify",
+                           path], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert proc.stdout == serialize_report(run(path, "verify"))
+    assert all(r["residual"] is None
+               for r in json.loads(proc.stdout)["residuals"].values())
+
+
+def test_push_domain_error_names_sample(tmp_path, capsys):
+    path = write(tmp_path, {
+        **SQRT_F,
+        "automorphism": {"phi": ["x1 + t^2"], "inverse": ["x1 - t^2"]},
+        "samples": {"mode": "explicit",
+                    "points": [[0.3, 0.5, 0.2], [0.3, -0.5, 0.2]]}})
+    assert main(["push", path]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "DomainError"
+    assert err["location"] == "samples.points[1]"

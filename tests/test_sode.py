@@ -246,3 +246,12 @@ def test_point_batch_matches_env_columns(n):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.flags.c_contiguous and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("slot", ["t", "x", "v"])
+def test_jet_point_rejects_non_finite(slot, bad):
+    parts = {"t": 0.5, "x": (0.1, 0.2), "v": (0.3, 0.4)}
+    parts[slot] = bad if slot == "t" else (0.1, bad)
+    with pytest.raises(ValueError):
+        JetPoint1(**parts)
