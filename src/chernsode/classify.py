@@ -66,7 +66,7 @@ class KosambiData:
 @dataclass(frozen=True)
 class ClassificationReport:
     flags: dict
-    holonomy_span_dim: int
+    holonomy_span_dim: int | None     # None when a point has no finite span
     unimodular: ConditionResult
     unimodular_decomposition: tuple | None
     orthogonal_residuals: dict | None
@@ -155,14 +155,17 @@ def curvature_span_matrices(s: SodeSystem):
     return out
 
 
-def holonomy_span(s: SodeSystem, p: JetPoint1, tol=1e-8) -> int:
+def holonomy_span(s: SodeSystem, p: JetPoint1, tol=1e-8) -> int | None:
     """Rank of the span of the curvature endomorphisms at p, as vectors in
     n^2 space.  Rank n^2 certifies the full general linear algebra at p;
-    partial ranks are reported without further interpretation."""
+    partial ranks are reported without further interpretation.  None when
+    a curvature value at p is not finite: no rank is claimed there."""
     env = p.env(s.vars)
     values = [env[name] for name in s.vars.names]
     rows = [eval_array(M, s.vars.names, values).reshape(-1)
             for _, M in curvature_span_matrices(s)]
+    if not all(np.isfinite(r).all() for r in rows):
+        return None
     rank, _ = numeric_rank(rows, tol)
     return rank
 
@@ -381,7 +384,8 @@ def classification_report(s: SodeSystem, points, mode="auto", U=None,
     if mode == "auto":
         mode = "symbolic" if all(is_polynomial(f) for f in s.F) else "numeric"
     flags = special_coordinate_conditions(s, mode=mode, points=points)
-    span = max(holonomy_span(s, p, tol=rank_tol) for p in points)
+    spans = [holonomy_span(s, p, tol=rank_tol) for p in points]
+    span = None if None in spans else max(spans)
     uni, decomp = unimodular_test(s, mode=mode, points=points)
     ortho = orthogonal_residual(s, U, points) if U is not None else None
     return ClassificationReport(

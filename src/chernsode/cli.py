@@ -286,9 +286,10 @@ class Problem:
 # --------------------------------------------------------------------------
 
 def _array_values(arr, s, points):
-    """Expr array -> nested lists with a trailing per-point axis."""
+    """Expr array -> nested lists with a trailing per-point axis; a value
+    that is not finite reads null, as in `_residual_entry`."""
     vals = eval_array(arr, s.vars.names, point_batch(s.vars, points))
-    return vals.tolist()
+    return np.where(np.isfinite(vals), vals, None).tolist()
 
 
 def _residual_entry(val, tol, **extra):
@@ -366,13 +367,15 @@ def task_classify(problem: Problem) -> dict:
         f0, fi = rep.unimodular_decomposition
         report["unimodular_decomposition"] = {
             "F_0": to_string(f0), "F_i": [to_string(f) for f in fi]}
-    passed = True
+    # a span that could not be computed at some point fails the report
+    passed = rep.holonomy_span_dim is not None
     if rep.orthogonal_residuals is not None:
         tol = problem.tolerances["identity"]
         report["orthogonal_residuals"] = {
             key: _residual_entry(val, tol)
             for key, val in rep.orthogonal_residuals.items()}
-        passed = all(c["pass"] for c in report["orthogonal_residuals"].values())
+        passed = passed and all(
+            c["pass"] for c in report["orthogonal_residuals"].values())
     report["pass"] = bool(passed)
     return report
 

@@ -189,15 +189,18 @@ class Call(Expr):
 ZERO = Const(0)
 ONE = Const(1)
 MINUS_ONE = Const(-1)
+# shared nodes for the small numbers callers pass to add and mul, such as
+# mul(-1, ...) and mul(2, ...); none of them is ZERO or ONE, so an `is ZERO`
+# test reads the same as for a fresh Const
+_SMALL_CONSTS = {k: Const(k) for k in range(-8, 9)}
 
 
 def _coerce(x):
     if isinstance(x, Expr):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Const(Fraction(x))
-    if isinstance(x, float):
-        return Const(Fraction(x))
+    if isinstance(x, (int, Fraction, float)):
+        c = _SMALL_CONSTS.get(x)
+        return c if c is not None else Const(Fraction(x))
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
@@ -1011,4 +1014,6 @@ def _compile(e: Expr, names: tuple):
     source = "def _f(V):\n" + "\n".join(lines) + f"\n    return {result}\n"
     namespace = {f"_{k}": v for k, v in _NP_FUNCS.items()}
     exec(compile(source, "<chernsode-expr>", "exec"), namespace)
-    return namespace["_f"]
+    # popped, so the kernel and its globals form no reference cycle: a
+    # kernel the cache evicts is freed at once, not at the next full gc
+    return namespace.pop("_f")

@@ -11,6 +11,7 @@ brackets of the frame fields as the oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,6 +56,68 @@ class JetPoint1:
         out.update(zip(vars.positions, self.x))
         out.update(zip(vars.velocities, self.v))
         return out
+
+
+class JetPoints(Sequence):
+    """Immutable sequence of JetPoint1 backed by one read-only float array.
+    `rows` is the (count, 2n+1) view of (t, x, v) rows; `columns` holds the
+    2n+1 read-only, C-contiguous arrays of `point_batch`, built once.  An
+    index builds its JetPoint1 on demand and a slice is again a JetPoints;
+    it equals any sequence of equal JetPoint1."""
+
+    __slots__ = ("rows", "columns")
+
+    def __init__(self, rows):
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] % 2 != 1:
+            raise ValueError("jet point rows must have shape (count, 2n+1)")
+        if not np.isfinite(rows).all():
+            raise ValueError("jet point components must be finite")
+        cols = np.array(rows.T, order="C")
+        cols.setflags(write=False)
+        object.__setattr__(self, "rows", cols.T)
+        object.__setattr__(self, "columns", tuple(cols))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("JetPoints is immutable")
+
+    @classmethod
+    def of(cls, vars: VarSet, points) -> JetPoints:
+        """`points` itself when it is a JetPoints of 2n+1 columns, else a
+        JetPoints of the same sequence of JetPoint1."""
+        width = 2 * vars.n + 1
+        if isinstance(points, JetPoints):
+            if len(points.columns) != width:
+                raise ValueError(f"expected jet points with {width} columns")
+            return points
+        rows = np.fromiter(
+            chain.from_iterable((p.t, *p.x, *p.v) for p in points),
+            dtype=float, count=len(points) * width)
+        return cls(rows.reshape(len(points), width))
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return JetPoints(self.rows[k])
+        return _jet_point(self.rows[k].tolist())
+
+    def __iter__(self):
+        return map(_jet_point, self.rows.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __repr__(self):
+        return f"JetPoints({list(self)!r})"
+
+
+def _jet_point(row) -> JetPoint1:
+    n = len(row) // 2
+    return JetPoint1(row[0], tuple(row[1:1 + n]), tuple(row[1 + n:]))
 
 
 @dataclass(frozen=True)
@@ -164,12 +227,9 @@ def numeric_rank(rows, tol=1e-8):
 
 
 def point_batch(vars: VarSet, points) -> list:
-    """Column batch (one array per variable, in `vars.names` order: t, x, v)
-    from a list of JetPoint1."""
-    width = 2 * vars.n + 1
-    rows = np.fromiter(chain.from_iterable((p.t, *p.x, *p.v) for p in points),
-                       dtype=float, count=len(points) * width)
-    return list(rows.reshape(len(points), width).T.copy())
+    """Column batch (one read-only array per variable, in `vars.names` order:
+    t, x, v) of a sequence of JetPoint1."""
+    return list(JetPoints.of(vars, points).columns)
 
 
 def max_abs(M, s: SodeSystem, points) -> float:
@@ -240,7 +300,7 @@ def check_residual(blocks, s: SodeSystem, mode, points, tol, seed):
         raise OracleMismatch(f"{r.label}: residual {r.worst:.3e} > {tol:g}")
 
 
-def sample_points(vars: VarSet, count, seed, box=None) -> list:
+def sample_points(vars: VarSet, count, seed, box=None) -> JetPoints:
     """Seeded sample of jet points; box maps role -> (lo, hi) with defaults
     t in [0,1], x in [-1,1], v in [-1,1]."""
     box = dict(box or {})
@@ -253,8 +313,7 @@ def sample_points(vars: VarSet, count, seed, box=None) -> list:
     # one (t, x, v) row per point: the doubles, in the order, that one
     # rng.uniform call per role and point would draw
     rows = lo + (hi - lo) * np.random.default_rng(seed).random((count, 2 * n + 1))
-    return [JetPoint1(r[0], tuple(r[1:1 + n]), tuple(r[1 + n:]))
-            for r in rows.tolist()]
+    return JetPoints(rows)
 
 
 def zero_symbolically(e: Expr) -> bool:

@@ -244,3 +244,29 @@ def test_push_domain_error_names_sample(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["kind"] == "DomainError"
     assert err["location"] == "samples.points[1]"
+
+
+LOG_F = {"dimension": 1, "F": ["log(x1)*v1^3"],
+         "samples": {"mode": "random", "count": 6, "seed": 1}}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("task", ["analyze", "classify"])
+def test_non_finite_curvature_fails_with_a_report(tmp_path, task):
+    """Curvature that is not finite at a sample is a failed check (exit 1)
+    with a full report, not an unusable input."""
+    path = write(tmp_path, LOG_F)
+    proc = subprocess.run([sys.executable, "-m", "chernsode.cli", task, path],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert "error" not in report
+    assert report["task"] == task and report["pass"] is False
+    assert proc.stdout == serialize_report(run(path, task))
+    if task == "classify":
+        assert report["holonomy_span_dim"] is None
+    else:
+        assert None in report["holonomy_span_per_point"]
+        assert None in report["components"]["P"][0][0]
+        assert all(c["residual"] is None for c in report["checks"].values())

@@ -6,7 +6,9 @@ non-trivial constants meet; they must build exactly the trees of the
 Fraction-accumulating constructors they replaced, kept here as reference.
 """
 
+import gc
 import hashlib
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -210,3 +212,32 @@ def test_compile_cache_is_bounded():
     again = compile_expr(exprs[0], names)(batch)
     assert cache.cache_info().misses == info.misses + 1    # evicted
     assert again.tobytes() == first.tobytes()
+
+
+def test_small_number_operands_share_a_node():
+    x, v = var("x1"), var("v1")
+    assert mul(-1, x).factors[0] is mul(-1, v).factors[0]
+    assert mul(2, x).factors[0] is mul(2.0, v).factors[0]
+    assert add(x, 3).terms[-1] is add(v, 3).terms[-1]
+    assert const(2) == Const(2) and to_string(const(-1)) == to_string(Const(-1))
+    # the shared nodes are not the singletons, as fresh constants never were
+    assert const(0) is not ZERO and const(0) == ZERO
+    assert const(1) is not ONE and const(1) == ONE
+    assert mul(x, 0) is ZERO and mul(x, 1) is x and add(x, 0) is x
+    assert const(Fraction(1, 2)).value == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        const(float("nan"))
+    with pytest.raises(TypeError):
+        mul(x, "2")
+
+
+def test_evicted_kernel_is_freed_without_gc():
+    names = VARS.names
+    kernel = weakref.ref(compile_expr(mul(Fraction(1, 10007), var("t")), names))
+    gc.disable()
+    try:
+        for k in range(expressions._compile.cache_info().maxsize):
+            compile_expr(add(var("t"), Fraction(k + 1, 10009)), names)
+        assert kernel() is None
+    finally:
+        gc.enable()
