@@ -53,12 +53,6 @@ class TorsionTensor:
     def p_block(self):
         return -np.asarray(self.P, dtype=object)
 
-    @property
-    def t_block(self):
-        return -np.asarray(self.T, dtype=object)
-
-    identity_block = 1
-
     def apply(self, X, Y):
         """Value on two vectors given in adapted-frame components: Expr
         entries for Expr blocks, floats for float blocks."""

@@ -160,8 +160,7 @@ def holonomy_span(s: SodeSystem, p: JetPoint1, tol=1e-8) -> int | None:
     n^2 space.  Rank n^2 certifies the full general linear algebra at p;
     partial ranks are reported without further interpretation.  None when
     a curvature value at p is not finite: no rank is claimed there."""
-    env = p.env(s.vars)
-    values = [env[name] for name in s.vars.names]
+    values = p.row
     rows = [eval_array(M, s.vars.names, values).reshape(-1)
             for _, M in curvature_span_matrices(s)]
     if not all(np.isfinite(r).all() for r in rows):

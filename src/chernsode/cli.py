@@ -26,7 +26,7 @@ from .expressions import (
     DomainError, ParseError, UnknownIdentifier, VarSet, parse, to_string,
 )
 from .sode import (
-    JetPoint1, OracleMismatch, SodeSystem, eval_array, point_batch,
+    JetPoints, OracleMismatch, SodeSystem, eval_array, point_batch,
     sample_points, splitting_curvature, worst_abs,
 )
 from .chern import (
@@ -114,13 +114,38 @@ def serialize_report(report) -> str:
 DEFAULT_TOLERANCES = {"identity": 1e-9, "oracle": 1e-10, "rank": 1e-8}
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(value):
+    """A JSON number as a finite float, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _object(value, where) -> dict:
+    """An optional JSON object: {} when absent or null."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise CliInputError("validation", f"{where} must be an object", where)
+    return value
+
+
 class Problem:
     def __init__(self, raw):
         if not isinstance(raw, dict):
             raise CliInputError("validation", "top level must be an object")
         self.raw = raw
         n = raw.get("dimension")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise CliInputError("validation", "dimension must be a positive "
                                 "integer", "dimension")
         self.n = n
@@ -129,22 +154,32 @@ class Problem:
                                  F=tuple(self._expr(text, f"F[{i}]")
                                          for i, text in
                                          enumerate(self._strings("F", n))))
+        self.samples = _object(raw.get("samples"), "samples")
+        self.box = self._parse_box()
         self.metric = self._parse_metric(raw.get("metric"))
         self.U = self._parse_matrix(raw.get("U"), "U")
         self.automorphism = self._parse_automorphism(raw.get("automorphism"))
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        for key, val in (raw.get("tolerances") or {}).items():
+        for key, val in _object(raw.get("tolerances"), "tolerances").items():
             if key not in DEFAULT_TOLERANCES:
                 raise CliInputError("validation", f"unknown tolerance {key!r}",
                                     "tolerances")
-            self.tolerances[key] = float(val)
+            val = _finite(val)
+            if val is None or val < 0:
+                raise CliInputError("validation", f"tolerance {key!r} must be "
+                                    "a finite number >= 0", f"tolerances.{key}")
+            self.tolerances[key] = val
         self.tasks = raw.get("tasks")
         if self.tasks is not None:
+            if not isinstance(self.tasks, list):
+                raise CliInputError("validation",
+                                    "tasks must be a list of task names",
+                                    "tasks")
             for name in self.tasks:
                 if name not in TASKS:
                     raise CliInputError("validation",
                                         f"unknown task {name!r}", "tasks")
-        self.points = self._parse_samples(raw.get("samples"))
+        self.points = self._parse_samples()
 
     # -- helpers ------------------------------------------------------------
 
@@ -159,12 +194,23 @@ class Problem:
         return val
 
     def _expr(self, text, location):
+        if not isinstance(text, str):
+            raise CliInputError("validation",
+                                f"{location} must be an expression string",
+                                location)
         try:
             return parse(text, self.vars)
-        except ParseError as exc:
+        except (ParseError, UnknownIdentifier) as exc:
             raise CliInputError("syntax", str(exc), location)
-        except UnknownIdentifier as exc:
-            raise CliInputError("syntax", str(exc), location)
+        except (DomainError, ZeroDivisionError) as exc:
+            raise CliInputError("DomainError", str(exc), location)
+
+    def _exprs(self, texts, where):
+        if not isinstance(texts, list):
+            raise CliInputError("validation",
+                                f"{where} must be a list of expression strings",
+                                where)
+        return tuple(self._expr(t, f"{where}[{i}]") for i, t in enumerate(texts))
 
     def _parse_vars(self, spec):
         if spec is None:
@@ -179,12 +225,17 @@ class Problem:
                                 "files; substitute numeric values",
                                 "variables.parameters")
         try:
-            return VarSet(time=spec["time"],
+            vars = VarSet(time=spec["time"],
                           positions=tuple(spec["positions"]),
                           velocities=tuple(spec["velocities"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliInputError("validation", f"bad variables: {exc}",
                                 "variables")
+        if not len(vars.positions) == len(vars.velocities) == self.n:
+            raise CliInputError("validation", f"variables must declare "
+                                f"{self.n} positions and {self.n} velocities",
+                                "variables")
+        return vars
 
     def _parse_matrix(self, rows, where):
         if rows is None:
@@ -207,7 +258,7 @@ class Problem:
         try:
             return MetricField(vars=self.vars,
                                g=tuple(tuple(row) for row in m),
-                               box=self._box_override())
+                               box=self.box)
         except ValueError as exc:
             raise CliInputError("validation", str(exc), "metric")
 
@@ -217,12 +268,10 @@ class Problem:
         if not isinstance(spec, dict) or "phi" not in spec:
             raise CliInputError("validation",
                                 "automorphism needs a phi list", "automorphism")
-        phi = tuple(self._expr(t, f"automorphism.phi[{i}]")
-                    for i, t in enumerate(spec["phi"]))
+        phi = self._exprs(spec["phi"], "automorphism.phi")
         inverse = None
         if spec.get("inverse") is not None:
-            inverse = tuple(self._expr(t, f"automorphism.inverse[{i}]")
-                            for i, t in enumerate(spec["inverse"]))
+            inverse = self._exprs(spec["inverse"], "automorphism.inverse")
         if len(phi) != self.n or (inverse and len(inverse) != self.n):
             raise CliInputError("validation",
                                 f"automorphism needs {self.n} components",
@@ -233,18 +282,26 @@ class Problem:
         except ValueError as exc:
             raise CliInputError("validation", str(exc), "automorphism")
 
-    def _box_override(self):
-        samples = self.raw.get("samples") or {}
-        box = samples.get("box") or {}
+    def _parse_box(self):
+        """Sampling ranges per role, each two finite numbers lo, hi a
+        finite distance apart."""
+        box = _object(self.samples.get("box"), "samples.box")
         out = {}
         for role in ("time", "position", "velocity"):
             if role in box:
-                lo, hi = box[role]
-                out[role] = (float(lo), float(hi))
+                where = f"samples.box.{role}"
+                bounds = box[role]
+                pair = [_finite(b) for b in bounds] \
+                    if isinstance(bounds, list) else []
+                if len(pair) != 2 or None in pair \
+                        or not math.isfinite(pair[1] - pair[0]):
+                    raise CliInputError("validation", f"{where} must be two "
+                                        "finite numbers [lo, hi]", where)
+                out[role] = tuple(pair)
         return out
 
-    def _parse_samples(self, spec):
-        spec = spec or {}
+    def _parse_samples(self):
+        spec = self.samples
         mode = spec.get("mode", "random")
         if mode == "explicit":
             pts = spec.get("points")
@@ -252,18 +309,18 @@ class Problem:
                 raise CliInputError("validation",
                                     "explicit mode needs a points list",
                                     "samples.points")
-            out = []
-            n = self.n
+            width = 2 * self.n + 1
             for k, row in enumerate(pts):
-                if len(row) != 2 * n + 1:
+                where = f"samples.points[{k}]"
+                if not isinstance(row, list) or len(row) != width:
+                    raise CliInputError(
+                        "validation", f"point {k} must have {width} entries",
+                        where)
+                if None in map(_finite, row):
                     raise CliInputError(
                         "validation",
-                        f"point {k} must have {2 * n + 1} entries",
-                        f"samples.points[{k}]")
-                out.append(JetPoint1(float(row[0]),
-                                     tuple(map(float, row[1:1 + n])),
-                                     tuple(map(float, row[1 + n:]))))
-            return out
+                        f"point {k} entries must be finite numbers", where)
+            return JetPoints(pts)
         if mode != "random":
             raise CliInputError("validation",
                                 f"unknown sampling mode {mode!r}",
@@ -272,13 +329,21 @@ class Problem:
             raise CliInputError("validation",
                                 "random sampling requires a seed",
                                 "samples.seed")
-        count = int(spec.get("count", 25))
+        seed = spec["seed"]
+        if not _is_int(seed) or seed < 0:
+            raise CliInputError("validation",
+                                "samples.seed must be a non-negative integer",
+                                "samples.seed")
+        count = spec.get("count", 25)
+        if not _is_int(count):
+            raise CliInputError("validation",
+                                "samples.count must be an integer",
+                                "samples.count")
         if count < 1:
             raise CliInputError("validation",
                                 "samples.count must be at least 1",
                                 "samples.count")
-        return sample_points(self.vars, count, int(spec["seed"]),
-                             self._box_override())
+        return sample_points(self.vars, count, seed, self.box)
 
 
 # --------------------------------------------------------------------------

@@ -27,12 +27,16 @@ __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Call",
     "VarSet", "ParseError", "UnknownIdentifier", "DomainError",
     "const", "var", "add", "mul", "pow_", "div", "neg", "call",
-    "parse", "diff", "evaluate", "simplify", "fd_diff",
+    "parse", "diff", "evaluate", "simplify", "fd_diff", "richardson",
     "to_string", "compile_expr", "free_variables", "substitute",
     "is_polynomial", "ZERO", "ONE",
 ]
 
 FUNCTIONS = ("cos", "exp", "log", "sin", "sqrt")
+
+# entries kept by each bounded memo (`simplify`, `_compile`), least recently
+# used dropped first; one CLI task or one checked system reuses a few hundred
+_CACHE_SIZE = 1024
 
 
 class ParseError(Exception):
@@ -601,20 +605,22 @@ def evaluate(e: Expr, env) -> float:
     raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 
+def richardson(g, h: float):
+    """Derivative at 0 of the function g of one offset: central differences
+    D(e) = (g(e) - g(-e)) / (2e) with one Richardson extrapolation step,
+    (4*D(h/2) - D(h)) / 3.  g may return scalars or numpy arrays."""
+
+    def central(e):
+        return (g(e) - g(-e)) / (2.0 * e)
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
 def fd_diff(e: Expr, name: str, env, h: float = 1e-4) -> float:
-    """Central-difference derivative with one Richardson extrapolation step:
-    (4*D(h/2) - D(h)) / 3.  Independent of `diff` by construction."""
-
-    def central(step):
-        hi = dict(env)
-        lo = dict(env)
-        hi[name] = env[name] + step
-        lo[name] = env[name] - step
-        return (evaluate(e, hi) - evaluate(e, lo)) / (2.0 * step)
-
-    d_h = central(h)
-    d_h2 = central(h / 2.0)
-    return (4.0 * d_h2 - d_h) / 3.0
+    """Central-difference derivative with one Richardson extrapolation step
+    (`richardson`).  Independent of `diff` by construction."""
+    return richardson(lambda step: evaluate(e, {**env, name: env[name] + step}),
+                      h)
 
 
 # --------------------------------------------------------------------------
@@ -636,17 +642,12 @@ def fd_diff(e: Expr, name: str, env, h: float = 1e-4) -> float:
 # an atom being its canonical string.  An _Expansion maps the keys back to
 # atoms and expands each compound node once.
 
-_simplify_cache: dict = {}
-
-
+@lru_cache(maxsize=_CACHE_SIZE)
 def simplify(e: Expr) -> Expr:
-    out = _simplify_cache.get(e)
-    if out is None:
-        expansion = _Expansion()
-        out = expansion.from_poly(expansion.to_poly(e))
-        _simplify_cache[e] = out
-        _simplify_cache[out] = out
-    return out
+    """Canonical form of e; memoised in a bounded LRU cache
+    (`simplify.cache_info()`)."""
+    expansion = _Expansion()
+    return expansion.from_poly(expansion.to_poly(e))
 
 
 _POLY_ONE = ({(): 1}, 1)
@@ -958,10 +959,6 @@ _NP_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
 
 _CHAIN = 64     # most operands on one emitted line of compile_expr
 
-# compiled kernels kept, least recently used dropped first; one CLI task or
-# one checked system reuses a few hundred at most
-_COMPILE_CACHE_SIZE = 1024
-
 
 def compile_expr(e: Expr, names):
     """Compile to f(values) where values is a sequence (scalars or numpy
@@ -971,7 +968,7 @@ def compile_expr(e: Expr, names):
     return _compile(e, tuple(names))
 
 
-@lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _compile(e: Expr, names: tuple):
     index = {name: i for i, name in enumerate(names)}
     lines = []

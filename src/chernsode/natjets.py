@@ -32,7 +32,7 @@ import numpy as np
 from .chern import TorsionTensor
 from .expressions import (
     Expr, ZERO, add, compile_expr, const, evaluate, free_variables, mul,
-    substitute, var,
+    richardson, substitute, var,
 )
 from .sode import (
     HALF, QUARTER, JetPoint1, SodeSystem, as_expr, eval_array, expr_array,
@@ -119,15 +119,7 @@ class SodeJet2:
     def n(self):
         return len(self.F)
 
-    # named blocks (t | x | v split of the base axis)
-    @property
-    def F_t(self):
-        return self.D1[:, 0]
-
-    @property
-    def F_x(self):
-        return self.D1[:, 1:1 + self.n]
-
+    # velocity blocks of the base axis (t | x | v)
     @property
     def F_v(self):
         return self.D1[:, 1 + self.n:]
@@ -137,24 +129,12 @@ class SodeJet2:
         return self.D2[:, 1 + self.n:, 1 + self.n:]
 
     @property
-    def F_xv(self):
-        return self.D2[:, 1:1 + self.n, 1 + self.n:]
-
-    @property
-    def F_tv(self):
-        return self.D2[:, 0, 1 + self.n:]
-
-    def env(self, vars) -> dict:
-        js = jet_space(vars)
-        out = self.point.env(vars)
-        for i in range(self.n):
-            out[js.values[i]] = float(self.F[i])
-            for c, d in enumerate(js.dirs):
-                out[js.first[(i, d)]] = float(self.D1[i, c])
-            for c1, d1 in enumerate(js.dirs):
-                for c2 in range(c1, len(js.dirs)):
-                    out[js.second[(i, d1, js.dirs[c2])]] = float(self.D2[i, c1, c2])
-        return out
+    def row(self) -> list:
+        """Python floats in `jet_space(vars).all_coords` order: the base row,
+        F, D1 row-major, then the upper triangle of each D2[i]."""
+        upper = np.triu_indices(self.D2.shape[-1])
+        return (self.point.row + self.F.tolist() + self.D1.ravel().tolist()
+                + self.D2[:, upper[0], upper[1]].ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -170,8 +150,7 @@ def jet2_of(s: SodeSystem, p: JetPoint1) -> SodeJet2:
     """All derivatives of F through order two, evaluated at p."""
     n = s.n
     coords = s.coords
-    env = p.env(s.vars)
-    values = [env[name] for name in s.vars.names]
+    values = p.row
     F = np.zeros(n)
     D1 = np.zeros((n, 2 * n + 1))
     D2 = np.zeros((n, 2 * n + 1, 2 * n + 1))
@@ -244,8 +223,7 @@ def curvature_mapping(j2: SodeJet2, vars=None) -> CurvatureValue:
     vars = vars or VarSet.default(n)
     js = jet_space(vars)
     y_P, y_T = curvature_mapping_exprs(vars)
-    env = j2.env(vars)
-    values = [env[name] for name in js.all_coords]
+    values = j2.row
     return CurvatureValue(
         y_P=eval_array(y_P, js.all_coords, values),
         y_T=eval_array(y_T, js.all_coords, values))
@@ -278,12 +256,6 @@ class ProlongedField:
     vars: object
     u: tuple
     components: dict
-
-    def coefficient_vector(self, order):
-        out = expr_array(len(order))
-        for k, name in enumerate(order):
-            out[k] = self.components.get(name, ZERO)
-        return out
 
 
 class UJet:
@@ -401,41 +373,31 @@ def generic_prolongation(vars):
         comp[js.values[i]] = wi
         w.append(wi)
 
-    def correction(i, alpha, beta):
+    def correction(coord, beta):
+        """-a_{x_b ...} du^b/dbeta - a_{v_b ...} dv^b/dbeta, where coord(y)
+        names the jet coordinate of a_i differentiated further along y."""
         terms = []
         for b in range(n):
             du = D(u[b], beta)
             if du is not ZERO:
-                name = js.second_name(i, alpha, xs[b])
-                terms.append(mul(-1, var(name), du))
+                terms.append(mul(-1, var(coord(xs[b])), du))
             dv = D(v_comp[b], beta)
             if dv is not ZERO:
-                name = js.second_name(i, alpha, vs[b])
-                terms.append(mul(-1, var(name), dv))
-        return terms
-
-    def correction1(i, beta):
-        terms = []
-        for b in range(n):
-            du = D(u[b], beta)
-            if du is not ZERO:
-                terms.append(mul(-1, var(js.first[(i, xs[b])]), du))
-            dv = D(v_comp[b], beta)
-            if dv is not ZERO:
-                terms.append(mul(-1, var(js.first[(i, vs[b])]), dv))
+                terms.append(mul(-1, var(coord(vs[b])), dv))
         return terms
 
     w1 = {}
     for i in range(n):
         for d in js.dirs:
-            w1[(i, d)] = add(D(w[i], d), *correction1(i, d))
+            w1[(i, d)] = add(D(w[i], d),
+                             *correction(lambda y: js.first[(i, y)], d))
             comp[js.first[(i, d)]] = w1[(i, d)]
 
     for i in range(n):
         for c1, d1 in enumerate(js.dirs):
             for d2 in js.dirs[c1:]:
-                comp[js.second[(i, d1, d2)]] = add(D(w1[(i, d1)], d2),
-                                                   *correction(i, d1, d2))
+                second = correction(lambda y: js.second_name(i, d1, y), d2)
+                comp[js.second[(i, d1, d2)]] = add(D(w1[(i, d1)], d2), *second)
     return ujet, comp
 
 
@@ -500,11 +462,9 @@ def infinitesimal_equivariance(s: SodeSystem, u, p: JetPoint1):
     js = jet_space(s.vars)
     ujet, lhs_P, lhs_T = _equivariance_lhs_exprs(s.vars)
     j2 = jet2_of(s, p)
-    env = j2.env(s.vars)
     base_env = p.env(s.vars)
     names = js.all_coords + tuple(ujet.names)
-    values = [env[name] for name in js.all_coords] \
-        + ujet.values_for(u, base_env)
+    values = j2.row + ujet.values_for(u, base_env)
     if math.isnan(worst_abs(values)):
         return float("nan"), float("nan")
 
@@ -557,12 +517,11 @@ def _field_jet_span(s: SodeSystem, p: JetPoint1, order, sample_count, seed,
     the jet of s at p; one batched evaluation per coefficient."""
     js = jet_space(s.vars)
     ujet, generic = generic_prolongation(s.vars)
-    env = jet2_of(s, p).env(s.vars)
     draws = ujet.random_values(sample_count, seed, degree)
     coeffs = expr_array(len(order))
     for k, name in enumerate(order):
         coeffs[k] = generic.get(name, ZERO)
-    values = [env[name] for name in js.all_coords] + list(draws.T)
+    values = jet2_of(s, p).row + list(draws.T)
     cols = eval_array(coeffs, js.all_coords + tuple(ujet.names), values)
     return numeric_rank(cols.T)
 
@@ -608,8 +567,7 @@ def curvature_kernel_dim(s: SodeSystem, p: JetPoint1, rel_tol=1e-8) -> int:
     ys = [y_P[i, j] for i in range(n) for j in range(n)]
     ys += [y_T[k, i, j] for k in range(n) for i in range(n)
            for j in range(i + 1, n)]
-    env = jet2_of(s, p).env(s.vars)
-    values = [env[name] for name in js.all_coords]
+    values = jet2_of(s, p).row
     rows = []
     for y in ys:
         grad = expr_array(len(js.fiber))
@@ -659,12 +617,11 @@ class VerticalAutomorphism:
     def validate(self, points, det_tol=1e-8, roundtrip_tol=1e-10):
         J = self.jacobian()
         for p in points:
-            env = p.env(self.vars)
-            values = [env[name] for name in self.vars.names]
-            jm = eval_array(J, self.vars.names, values)
+            jm = eval_array(J, self.vars.names, p.row)
             if abs(np.linalg.det(jm)) < det_tol:
                 raise ValueError(f"singular Jacobian at {p}")
             if self.inverse is not None:
+                env = p.env(self.vars)
                 pushed = [evaluate(c, env) for c in self.phi]
                 env2 = dict(env)
                 env2.update(zip(self.vars.positions, pushed))
@@ -742,8 +699,9 @@ def random_automorphism(vars, seed, scale=Fraction(1, 4)) -> VerticalAutomorphis
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _prolong1_exprs(phi_key):
-    auto, = phi_key
+def _prolong1_exprs(auto: VerticalAutomorphism) -> np.ndarray:
+    """Symbolic components of the induced 1-jet map
+    (t, x, v) -> (t, phi, phi_t + phi_x v)."""
     vars = auto.vars
     n = auto.n
     out = expr_array(2 * n + 1)
@@ -757,23 +715,18 @@ def _prolong1_exprs(phi_key):
     return out
 
 
-def prolong1_map(auto: VerticalAutomorphism) -> np.ndarray:
-    """Symbolic components of the induced 1-jet map
-    (t, x, v) -> (t, phi, phi_t + phi_x v)."""
-    return _prolong1_exprs((auto,))
-
-
 def prolong1(auto: VerticalAutomorphism, p: JetPoint1) -> JetPoint1:
     env = p.env(auto.vars)
-    m = prolong1_map(auto)
+    m = _prolong1_exprs(auto)
     vals = [evaluate(as_expr(c), env) for c in m]
     n = auto.n
     return JetPoint1(vals[0], tuple(vals[1:1 + n]), tuple(vals[1 + n:]))
 
 
 @lru_cache(maxsize=None)
-def _push_value_exprs(key):
-    auto, s = key
+def _push_value_exprs(auto: VerticalAutomorphism, s: SodeSystem) -> tuple:
+    """G^h(t, x, v): the pushed right-hand side composed with the 1-jet map,
+    phi_tt + 2 phi_tx v + phi_xx v v + phi_x F."""
     vars = s.vars
     n = s.n
     t, xs, vs = vars.time, vars.positions, vars.velocities
@@ -789,17 +742,11 @@ def _push_value_exprs(key):
     return tuple(out)
 
 
-def push_value_exprs(auto: VerticalAutomorphism, s: SodeSystem) -> tuple:
-    """G^h(t, x, v): the pushed right-hand side composed with the 1-jet map,
-    phi_tt + 2 phi_tx v + phi_xx v v + phi_x F."""
-    return _push_value_exprs((auto, s))
-
-
 def push_sode_value(auto: VerticalAutomorphism, s: SodeSystem,
                     p: JetPoint1) -> np.ndarray:
     """Value of the pushed system at the pushed point; no inverse needed."""
     env = p.env(s.vars)
-    return np.array([evaluate(g, env) for g in push_value_exprs(auto, s)])
+    return np.array([evaluate(g, env) for g in _push_value_exprs(auto, s)])
 
 
 def push_sode_symbolic(auto: VerticalAutomorphism, s: SodeSystem) -> SodeSystem:
@@ -816,16 +763,15 @@ def push_sode_symbolic(auto: VerticalAutomorphism, s: SodeSystem) -> SodeSystem:
             _diff(psi[i], vars.time),
             *[mul(_diff(psi[i], vars.positions[j]), var(vars.velocities[j]))
               for j in range(n)])
-    F = tuple(substitute(g, sub) for g in push_value_exprs(auto, s))
+    F = tuple(substitute(g, sub) for g in _push_value_exprs(auto, s))
     return SodeSystem(vars=vars, F=F)
 
 
 @lru_cache(maxsize=None)
-def _chain_rule_exprs(key):
-    auto, s = key
+def _chain_rule_exprs(auto: VerticalAutomorphism, s: SodeSystem):
     coords = s.coords
-    G = push_value_exprs(auto, s)
-    M = prolong1_map(auto)
+    G = _push_value_exprs(auto, s)
+    M = _prolong1_exprs(auto)
     dG = tuple(tuple(_diff(g, c) for c in coords) for g in G)
     hG = tuple(tuple(tuple(_diff(dg, c2) for c2 in coords) for dg in row)
                for row in dG)
@@ -841,10 +787,8 @@ def pushed_jet2(auto: VerticalAutomorphism, s: SodeSystem,
     the chain rule numerically (the 1-jet map's Jacobian is inverted as a
     matrix at the point, so no symbolic inverse of phi is required)."""
     n = s.n
-    names = s.vars.names
-    env = p.env(s.vars)
-    values = [env[name] for name in names]
-    G, M, dG, hG, dM, hM = _chain_rule_exprs((auto, s))
+    names, values = s.vars.names, p.row
+    G, M, dG, hG, dM, hM = _chain_rule_exprs(auto, s)
 
     def ev(e):
         return compile_expr(as_expr(e), names)(values)
@@ -906,12 +850,7 @@ def _fd_push_derivative(auto, s, p, jx_inv, h=1e-4):
     out = np.zeros((n, n))
     for i in range(n):
         step = jx_inv[:, i]
-
-        def central(eps):
-            return (value(base_v + eps * step) - value(base_v - eps * step)) \
-                / (2.0 * eps)
-
-        out[:, i] = (4.0 * central(h / 2.0) - central(h)) / 3.0
+        out[:, i] = richardson(lambda eps: value(base_v + eps * step), h)
     return out
 
 
@@ -932,10 +871,9 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
     deltas = {k: [] for k in ("eq_partialF", "eq_Partial2F", "frame_push",
                               "torsion_equivariance", "curvature_equivariance",
                               "kosambi_match")}
-    dM = _chain_rule_exprs((auto, s))[4]     # Jacobian of the 1-jet map
+    dM = _chain_rule_exprs(auto, s)[4]     # Jacobian of the 1-jet map
     for p in points:
-        env = p.env(vars)
-        values = [env[name] for name in vars.names]
+        env, values = p.env(vars), p.row
         jx = eval_array(jac, vars.names, values)
         jx_inv = np.linalg.inv(jx)
         j2 = jet2_of(s, p)

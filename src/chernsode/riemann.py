@@ -292,11 +292,11 @@ def hyperbolic_metric_signature(metric: MetricField, points=None, count=20,
     dt (x) dt + g_ij (omega^i (x) varpi^j + varpi^i (x) omega^j)
             + g_ij v^i (dt (x) varpi^j + varpi^j (x) dt)
     at sample points; a Riemannian g gives (n+1, n)."""
-    s = geodesic_spray(metric)
+    vars = metric.vars
     if points is None:
-        points = sample_points(s.vars, count, seed, metric.sample_box())
+        points = sample_points(vars, count, seed, metric.sample_box())
     n = metric.n
-    g_vals = eval_array(metric.matrix(), s.vars.names, point_batch(s.vars, points))
+    g_vals = eval_array(metric.matrix(), vars.names, point_batch(vars, points))
     signature = None
     for k, p in enumerate(points):
         g = g_vals[:, :, k]

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .expressions import (
-    VarSet, const, diff, evaluate, free_variables, parse, simplify,
+    VarSet, const, diff, evaluate, free_variables, parse, richardson,
+    simplify,
 )
 from .sode import (
     SodeSystem, max_abs, random_polynomial_sode, sample_points,
@@ -287,7 +288,6 @@ def criterion_fd_oracle(points_per=20):
     rng = np.random.default_rng(99)
     pool = _expression_pool()
     relative = []
-    h = 1e-4
     for e in pool:
         names = sorted(free_variables(e))
         name = names[int(rng.integers(0, len(names)))]
@@ -301,9 +301,7 @@ def criterion_fd_oracle(points_per=20):
             cols[col] = base[col] + delta
             return fn(cols)
 
-        d_h = (shifted(h) - shifted(-h)) / (2 * h)
-        d_h2 = (shifted(h / 2) - shifted(-h / 2)) / h
-        approx = (4.0 * d_h2 - d_h) / 3.0
+        approx = richardson(shifted, 1e-4)
         exact = dfn(base)
         relative.append(np.abs(approx - exact) / (1.0 + np.abs(exact)))
     worst = worst_abs(*relative)

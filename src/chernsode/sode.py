@@ -51,6 +51,11 @@ class JetPoint1:
         if not all(map(math.isfinite, (self.t, *x, *v))):
             raise ValueError("jet point components must be finite")
 
+    @property
+    def row(self) -> list:
+        """(t, x, v) as Python floats, in `VarSet.names` order."""
+        return [float(self.t), *self.x, *self.v]
+
     def env(self, vars: VarSet) -> dict:
         out = {vars.time: float(self.t)}
         out.update(zip(vars.positions, self.x))
@@ -91,7 +96,7 @@ class JetPoints(Sequence):
                 raise ValueError(f"expected jet points with {width} columns")
             return points
         rows = np.fromiter(
-            chain.from_iterable((p.t, *p.x, *p.v) for p in points),
+            chain.from_iterable(p.row for p in points),
             dtype=float, count=len(points) * width)
         return cls(rows.reshape(len(points), width))
 
@@ -310,6 +315,8 @@ def sample_points(vars: VarSet, count, seed, box=None) -> JetPoints:
     n = vars.n
     lo, hi = np.array([box["time"]] + [box["position"]] * n
                       + [box["velocity"]] * n, dtype=float).T
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError("jet point components must be finite")
     # one (t, x, v) row per point: the doubles, in the order, that one
     # rng.uniform call per role and point would draw
     rows = lo + (hi - lo) * np.random.default_rng(seed).random((count, 2 * n + 1))
@@ -401,8 +408,7 @@ def coframe_symbolic(s: SodeSystem) -> np.ndarray:
 
 
 def adapted_frame(s: SodeSystem, p: JetPoint1) -> FrameAtPoint:
-    names = s.vars.names
-    values = [p.env(s.vars)[name] for name in names]
+    names, values = s.vars.names, p.row
     return FrameAtPoint(
         frame=eval_array(frame_symbolic(s), names, values),
         coframe=eval_array(coframe_symbolic(s), names, values),
