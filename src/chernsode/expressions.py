@@ -6,20 +6,23 @@ log, sqrt.  Constants are kept as exact `Fraction`s so that polynomial
 identities cancel to a literal zero under `simplify` and repeated runs are
 bit-for-bit reproducible.
 
-The numeric side lives here too: `evaluate` (scalar, raises DomainError),
-`compile_expr` (vectorised numpy closure for point batteries) and `fd_diff`,
-the finite-difference derivative oracle used to cross-check every symbolic
-derivative produced by `diff`.
+The numeric side lives here too: `compile_expr` and `evaluate` run one cached
+program per expression, with numpy on point batteries or with `math` and
+DomainError checks at one point; `fd_diff` is the finite-difference oracle
+that cross-checks every symbolic derivative produced by `diff`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+from array import array
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from itertools import islice
 
 import numpy as np
 
@@ -524,7 +527,7 @@ def parse(text: str, vars: VarSet) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# differentiation
+# differentiation, and the finite-difference oracle that checks it
 # --------------------------------------------------------------------------
 
 def diff(e: Expr, name: str) -> Expr:
@@ -562,47 +565,6 @@ def diff(e: Expr, name: str) -> Expr:
             outer = div(const(Fraction(1, 2)), e)
         return mul(outer, da)
     raise TypeError(f"cannot differentiate {type(e).__name__}")
-
-
-# --------------------------------------------------------------------------
-# scalar evaluation (DomainError semantics) and fd oracle
-# --------------------------------------------------------------------------
-
-def evaluate(e: Expr, env) -> float:
-    """Evaluate at a point given as a mapping name -> real.  Raises DomainError
-    for division by zero, log of a non-positive value or sqrt of a negative."""
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Var):
-        return float(env[e.name])
-    if isinstance(e, Add):
-        return math.fsum(evaluate(t, env) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= evaluate(f, env)
-        return out
-    if isinstance(e, Pow):
-        b = evaluate(e.base, env)
-        if e.exponent < 0 and b == 0.0:
-            raise DomainError("division by zero")
-        return b ** e.exponent
-    if isinstance(e, Call):
-        a = evaluate(e.arg, env)
-        if e.func == "sin":
-            return math.sin(a)
-        if e.func == "cos":
-            return math.cos(a)
-        if e.func == "exp":
-            return math.exp(a)
-        if e.func == "log":
-            if a <= 0.0:
-                raise DomainError("log of a non-positive value")
-            return math.log(a)
-        if a < 0.0:
-            raise DomainError("sqrt of a negative value")
-        return math.sqrt(a)
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 
 def richardson(g, h: float):
@@ -951,66 +913,100 @@ def to_string(e: Expr) -> str:
 
 
 # --------------------------------------------------------------------------
-# compiled evaluation
+# evaluation: one program per expression, run with one of two tables
 # --------------------------------------------------------------------------
+#
+# A program gives each distinct node of an expression a register: constants
+# (floats, and the integer exponents of powers) and variables first, then one
+# flat instruction (opcode, operand count, operand registers...) per compound
+# node in post-order.  _run executes them with a table of operations: each
+# shared subtree once per call, and without recursion.
 
-_NP_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
-             "log": np.log, "sqrt": np.sqrt}
+def _fail(message):
+    raise DomainError(message)
 
-_CHAIN = 64     # most operands on one emitted line of compile_expr
+
+_OPCODE = {Add: 0, Mul: 1, Pow: 2, **{f: 3 + k for k, f in enumerate(FUNCTIONS)}}
+_SUM, _PRODUCT = partial(reduce, operator.add), partial(reduce, operator.mul)
+# (load of a variable's value, operation per opcode); sums and products fold
+# one iterable of operands left to right, as `a + b + c` does, or by fsum
+_BATCH = (lambda v: v, (_SUM, _PRODUCT, operator.pow,
+                        np.cos, np.exp, np.log, np.sin, np.sqrt))
+_SCALAR = (float, (
+    math.fsum, _PRODUCT,
+    lambda b, k: _fail("division by zero") if k < 0 and b == 0.0 else b ** k,
+    math.cos, math.exp,
+    lambda a: _fail("log of a non-positive value") if a <= 0.0 else math.log(a),
+    math.sin,
+    lambda a: _fail("sqrt of a negative value") if a < 0.0 else math.sqrt(a)))
+
+
+def _run(consts, loads, code, values, table=_BATCH):
+    load, ops = table
+    regs = [*consts, *[load(values[i]) for i in loads]]
+    reg, it = regs.__getitem__, iter(code)
+    for op in it:               # each instruction: opcode, count, operands
+        args = map(reg, islice(it, next(it)))
+        regs.append(ops[op](args) if op < 2 else ops[op](*args))  # 0, 1: Add, Mul
+    return regs[-1]
+
+
+def _operands(node):
+    t = type(node)
+    return (node.terms if t is Add else node.factors if t is Mul
+            else (node.base, node.exponent) if t is Pow
+            else (node.arg,) if t is Call else ())
+
+
+def _float(q):
+    """q as a float; a magnitude beyond the float range reads as +-inf."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def evaluate(e: Expr, env) -> float:
+    """Evaluate at a point given as a mapping name -> real.  Raises DomainError
+    for division by zero, log of a non-positive value or sqrt of a negative.
+    Runs the program that `compile_expr(e, tuple(env))` returns."""
+    return _compile(e, tuple(env))(tuple(env.values()), _SCALAR)
 
 
 def compile_expr(e: Expr, names):
     """Compile to f(values) where values is a sequence (scalars or numpy
     arrays) aligned with `names`.  No domain checking: the vectorised path is
     for well-sampled batteries; use `evaluate` when DomainError matters.
-    Kernels are memoised in a bounded LRU cache: `_compile.cache_info()`."""
+    Programs are memoised in a bounded LRU cache: `_compile.cache_info()`."""
     return _compile(e, tuple(names))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _compile(e: Expr, names: tuple):
     index = {name: i for i, name in enumerate(names)}
-    lines = []
-    seen = {}
-    counter = 0
-
-    def assign(text):
-        nonlocal counter
-        ref = f"t{counter}"
-        counter += 1
-        lines.append(f"    {ref} = {text}")
-        return ref
-
-    def emit(node):
-        ref = seen.get(node)
-        if ref is not None:
-            return ref
-        if isinstance(node, Const):
-            ref = repr(float(node.value))
-        elif isinstance(node, Var):
-            ref = f"V[{index[node.name]}]"
-        elif isinstance(node, (Add, Mul)):
-            if isinstance(node, Add):
-                op, refs = " + ", [emit(t) for t in node.terms]
-            else:
-                op, refs = " * ", [emit(f) for f in node.factors]
-            # a running partial result every _CHAIN operands keeps each line
-            # shallow for the Python compiler; the left-to-right order stays
-            ref = assign(op.join(refs[:_CHAIN]))
-            for k in range(_CHAIN, len(refs), _CHAIN - 1):
-                ref = assign(op.join([ref] + refs[k:k + _CHAIN - 1]))
-        elif isinstance(node, Pow):
-            ref = assign(f"{emit(node.base)} ** ({node.exponent})")
-        else:
-            ref = assign(f"_{node.func}({emit(node.arg)})")
-        seen[node] = ref
-        return ref
-
-    result = emit(e)
-    source = "def _f(V):\n" + "\n".join(lines) + f"\n    return {result}\n"
-    namespace = {f"_{k}": v for k, v in _NP_FUNCS.items()}
-    exec(compile(source, "<chernsode-expr>", "exec"), namespace)
-    # popped, so the kernel and its globals form no reference cycle: a
-    # kernel the cache evicts is freed at once, not at the next full gc
-    return namespace.pop("_f")
+    consts, reads, nodes = [], [], []       # each in post-order
+    first, alias = {}, {}   # node -> first equal node met; id of each met -> that
+    stack = [(e, None)]
+    while stack:
+        node, args = stack.pop()
+        if args is None:
+            if id(node) in alias:
+                continue
+            alias[id(node)] = same = first.setdefault(node, node)
+            if same is not node:
+                continue
+            args = _operands(node)
+            if args:                        # operands first, left to right
+                stack.append((node, args))
+                stack.extend((a, None) for a in reversed(args))
+                continue
+        (nodes if args else reads if type(node) is Var else consts).append(node)
+    slot = {id(node): k for k, node in enumerate(consts + reads + nodes)}
+    code = array("i")
+    for node in nodes:
+        args = _operands(node)
+        code.extend((_OPCODE[node.func if type(node) is Call else type(node)],
+                     len(args), *[slot[id(alias[id(a)])] for a in args]))
+    return partial(_run, tuple(_float(c.value) if type(c) is Const else c
+                               for c in consts),
+                   tuple(index[v.name] for v in reads), code)

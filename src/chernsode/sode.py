@@ -315,11 +315,13 @@ def sample_points(vars: VarSet, count, seed, box=None) -> JetPoints:
     n = vars.n
     lo, hi = np.array([box["time"]] + [box["position"]] * n
                       + [box["velocity"]] * n, dtype=float).T
-    if not np.isfinite([lo, hi]).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo         # finite only where both bounds are
+    if not np.isfinite(width).all():
         raise ValueError("jet point components must be finite")
     # one (t, x, v) row per point: the doubles, in the order, that one
     # rng.uniform call per role and point would draw
-    rows = lo + (hi - lo) * np.random.default_rng(seed).random((count, 2 * n + 1))
+    rows = lo + width * np.random.default_rng(seed).random((count, 2 * n + 1))
     return JetPoints(rows)
 
 

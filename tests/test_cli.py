@@ -270,3 +270,29 @@ def test_non_finite_curvature_fails_with_a_report(tmp_path, task):
         assert None in report["holonomy_span_per_point"]
         assert None in report["components"]["P"][0][0]
         assert all(c["residual"] is None for c in report["checks"].values())
+
+
+HUGE_F = {"dimension": 1, "F": ["10^400*v1^2"],
+          "samples": {"mode": "random", "count": 6, "seed": 1}}
+
+
+@pytest.mark.parametrize("task, code", [
+    ("analyze", 1), ("verify", 1), ("classify", 1), ("jets", 2),
+])
+def test_constant_beyond_float_range_is_quiet(tmp_path, task, code):
+    """A constant too large for a float evaluates as inf: the checks fail
+    with null residuals, jets cannot use the input, and no traceback shows."""
+    path = write(tmp_path, HUGE_F)
+    proc = subprocess.run([sys.executable, "-m", "chernsode.cli", task, path],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    report = json.loads(proc.stdout)
+    if code == 2:
+        assert report["error"]["kind"] == "LinAlgError"
+        return
+    assert report["pass"] is False
+    if task == "classify":
+        assert report["holonomy_span_dim"] is None
+    else:
+        checks = report["checks" if task == "analyze" else "residuals"]
+        assert all(c["residual"] is None for c in checks.values()), checks
