@@ -31,14 +31,15 @@ __all__ = [
     "VarSet", "ParseError", "UnknownIdentifier", "DomainError",
     "const", "var", "add", "mul", "pow_", "div", "neg", "call",
     "parse", "diff", "evaluate", "simplify", "fd_diff", "richardson",
-    "to_string", "compile_expr", "free_variables", "substitute",
+    "to_string", "compile_expr", "run_programs", "free_variables", "substitute",
     "is_polynomial", "ZERO", "ONE",
 ]
 
 FUNCTIONS = ("cos", "exp", "log", "sin", "sqrt")
 
-# entries kept by each bounded memo (`simplify`, `_compile`), least recently
-# used dropped first; one CLI task or one checked system reuses a few hundred
+# entries kept by each bounded memo (`simplify`, `_compile`, `sode._diff`),
+# least recently used dropped first; one CLI task or one checked system
+# reuses a few hundred
 _CACHE_SIZE = 1024
 
 
@@ -399,6 +400,10 @@ _TOKEN = re.compile(
 _BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 _UNARY_PREC = 3  # between * / and ^
 _POW_PREC = 4
+# calls, parentheses and unary signs open one level each; the parser recurses
+# a few frames per level, so past this it raises ParseError, well before the
+# interpreter's recursion limit
+_MAX_NESTING = 100
 
 
 def _tokenize(text):
@@ -429,9 +434,21 @@ def parse(text: str, vars: VarSet) -> Expr:
 
     Precedence ^ > unary minus > * / > + -, binary operators left-associative;
     ^ takes a (possibly parenthesised, possibly signed) integer literal.
+    Calls, parentheses and unary signs nest at most 100 levels deep.
     """
     tokens = _tokenize(text)
-    idx = 0
+    idx = depth = 0
+
+    def enter(pos):
+        nonlocal depth
+        depth += 1
+        if depth > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", pos)
+
+    def leave(e):
+        nonlocal depth
+        depth -= 1
+        return e
 
     def peek():
         return tokens[idx]
@@ -473,26 +490,27 @@ def parse(text: str, vars: VarSet) -> Expr:
                 if value not in FUNCTIONS:
                     raise UnknownIdentifier(value, pos)
                 advance()
+                enter(pos)
                 inner = parse_expr(0)
                 expect_op(")")
-                return Call(value, inner)
+                return leave(Call(value, inner))
             if value in vars.names:
                 return Var(value)
             raise UnknownIdentifier(value, pos)
         if kind == "op" and value == "(":
+            enter(pos)
             inner = parse_expr(0)
             expect_op(")")
-            return inner
+            return leave(inner)
         raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
     def parse_unary():
         kind, value, pos = peek()
-        if kind == "op" and value == "-":
+        if kind == "op" and value in ("-", "+"):
             advance()
-            return neg(parse_unary())
-        if kind == "op" and value == "+":
-            advance()
-            return parse_unary()
+            enter(pos)
+            inner = parse_unary()
+            return leave(neg(inner) if value == "-" else inner)
         return parse_power()
 
     def parse_power():
@@ -919,8 +937,9 @@ def to_string(e: Expr) -> str:
 # A program gives each distinct node of an expression a register: constants
 # (floats, and the integer exponents of powers) and variables first, then one
 # flat instruction (opcode, operand count, operand registers...) per compound
-# node in post-order.  _run executes them with a table of operations: each
-# shared subtree once per call, and without recursion.
+# node in post-order.  _run executes them with a table of operations, without
+# recursion; run_programs runs the programs of one call over one memo, so
+# that a value they share is computed once per call.
 
 def _fail(message):
     raise DomainError(message)
@@ -941,14 +960,70 @@ _SCALAR = (float, (
     lambda a: _fail("sqrt of a negative value") if a < 0.0 else math.sqrt(a)))
 
 
-def _run(consts, loads, code, values, table=_BATCH):
+def _run(consts, loads, code, values, table=_BATCH, memo=None, keys=()):
+    """The program's value.  With a memo, `keys` numbers the value of each
+    instruction: one found in the memo is read from it, and every value
+    computed is stored there under its number."""
     load, ops = table
     regs = [*consts, *[load(values[i]) for i in loads]]
-    reg, it = regs.__getitem__, iter(code)
-    for op in it:               # each instruction: opcode, count, operands
+    reg, it, keys = regs.__getitem__, iter(code), iter(keys)
+    for op in it:                       # opcode, count, operands
         args = map(reg, islice(it, next(it)))
-        regs.append(ops[op](args) if op < 2 else ops[op](*args))  # 0, 1: Add, Mul
+        if memo is not None:
+            key = next(keys)
+            if key in memo:
+                regs.append(memo[key])
+                for _ in args:          # skip the operands
+                    pass
+                continue
+        value = ops[op](args) if op < 2 else ops[op](*args)  # 0, 1: Add, Mul
+        if memo is not None:
+            memo[key] = value
+        regs.append(value)
     return regs[-1]
+
+
+def _numbering(programs):
+    """Number the instructions of the programs alike exactly when they apply
+    one operation to operands numbered alike (constants by value, variables by
+    position), so that alike means equal values; return each program's
+    numbers, and the numbers whose last program is each program."""
+    number, keys = {}, []
+    for program in programs:
+        consts, loads, code = program.args
+        regs = [number.setdefault((type(c), c), len(number)) for c in consts]
+        regs += [number.setdefault(("v", i), len(number)) for i in loads]
+        own = len(regs)
+        reg, it = regs.__getitem__, iter(code)
+        for op in it:
+            regs.append(number.setdefault(
+                (op, *map(reg, islice(it, next(it)))), len(number)))
+        keys.append(regs[own:])
+    last = {}
+    for k, own in enumerate(keys):
+        last.update(dict.fromkeys(own, k))
+    dead = [[] for _ in programs]
+    for key, k in last.items():
+        dead[k].append(key)
+    return keys, dead
+
+
+def run_programs(programs, values, table=_BATCH):
+    """Run programs on one batch in order and yield the value of each.  They
+    share one memo, so a value that several of them compute is computed once
+    per call, and it is dropped after the last program that needs it.  At a
+    single point (no value with a batch axis) each program runs alone: there
+    an operation costs less than numbering it."""
+    if not any(isinstance(v, np.ndarray) and v.ndim for v in values):
+        for program in programs:
+            yield program(values, table)
+        return
+    keys, dead = _numbering(programs)
+    memo = {}
+    for program, own, gone in zip(programs, keys, dead):
+        yield program(values, table, memo, own)
+        for key in gone:
+            del memo[key]
 
 
 def _operands(node):

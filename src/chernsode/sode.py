@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .expressions import (
-    Expr, VarSet, ZERO, add, compile_expr, const, diff, mul, simplify, var,
+    Expr, VarSet, ZERO, _CACHE_SIZE, add, compile_expr, const, diff, mul,
+    run_programs, simplify, var,
 )
 
 HALF = const(Fraction(1, 2))
@@ -188,7 +189,7 @@ def expr_array(shape) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _diff(e: Expr, name: str) -> Expr:
     return diff(e, name)
 
@@ -208,13 +209,16 @@ def bracket(X, Y, coords) -> np.ndarray:
 
 
 def eval_array(M, names, values) -> np.ndarray:
-    """Evaluate an object array of Expr entry-wise; `values` is a sequence of
-    scalars or numpy arrays aligned with `names` (arrays give a batch axis)."""
+    """Evaluate an object array of Expr entry-wise through `run_programs`,
+    which on a batch computes a node that entries share once; `values` is a
+    sequence of scalars or numpy arrays aligned with `names` (arrays give a
+    batch axis)."""
     M = np.asarray(M, dtype=object)
     arrays = [v for v in values if isinstance(v, np.ndarray) and v.ndim]
     out = np.zeros(M.shape + ((len(arrays[0]),) if arrays else ()))
-    for idx in np.ndindex(M.shape):
-        out[idx] = compile_expr(as_expr(M[idx]), names)(values)
+    programs = [compile_expr(as_expr(e), names) for e in M.flat]
+    for idx, value in zip(np.ndindex(M.shape), run_programs(programs, values)):
+        out[idx] = value
     return out
 
 
@@ -265,23 +269,25 @@ class Residual(NamedTuple):
 
 
 def reduce_residual(blocks, s: SodeSystem, batch) -> Residual:
-    """Reduce (label, Expr array) pairs one entry at a time on a point batch.
-    A non-finite value ranks above every finite one: `worst` is then NaN and
-    the witness is the first block, entry and point holding one.  Among
-    finite values the first largest |value| wins, so a ZERO entry, which
-    can never win, is not evaluated."""
+    """Reduce (label, Expr array) pairs on a point batch, entry by entry in
+    order over one memo (`run_programs`), so a node that entries share is
+    computed once.  A non-finite value ranks above every finite one: `worst`
+    is then NaN and the witness is the first block, entry and point holding
+    one.  Among finite values the first largest |value| wins, so a ZERO
+    entry, which can never win, is not evaluated."""
+    entries = [(label, entry, e) for label, arr in blocks
+               for entry, e in enumerate(np.asarray(arr, dtype=object).flat)
+               if e is not ZERO]
+    programs = [compile_expr(as_expr(e), s.vars.names) for _, _, e in entries]
     out, nonfinite = Residual(0.0, None, 0, None, None, None), 0
-    for label, arr in blocks:
-        for entry, e in enumerate(np.asarray(arr, dtype=object).flat):
-            if e is ZERO:
-                continue
-            vals = np.ravel(compile_expr(as_expr(e), s.vars.names)(batch))
-            top = worst_abs(vals)
-            bad = np.flatnonzero(~np.isfinite(vals)) if math.isnan(top) else []
-            if not nonfinite and (len(bad) or top > out.worst):
-                k = bad[0] if len(bad) else np.argmax(np.abs(vals))
-                out = Residual(top, label, 0, entry, int(k), float(vals[k]))
-            nonfinite += len(bad)
+    for (label, entry, _), value in zip(entries, run_programs(programs, batch)):
+        vals = np.ravel(value)
+        top = worst_abs(vals)
+        bad = np.flatnonzero(~np.isfinite(vals)) if math.isnan(top) else []
+        if not nonfinite and (len(bad) or top > out.worst):
+            k = bad[0] if len(bad) else np.argmax(np.abs(vals))
+            out = Residual(top, label, 0, entry, int(k), float(vals[k]))
+        nonfinite += len(bad)
     return out._replace(nonfinite=nonfinite)
 
 
