@@ -18,7 +18,7 @@ from .chern import (
 from .classify import (
     ClassificationReport, KosambiData, NotPositiveDefinite,
     SymbolicModeUnsupported, first_prolongation_dim, holonomy_span,
-    kosambi_invariants, orthogonal_residual, special_coordinate_conditions,
+    holonomy_spans, kosambi_invariants, orthogonal_residual, special_coordinate_conditions,
     unimodular_test,
 )
 from .natjets import (

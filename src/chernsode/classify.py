@@ -22,15 +22,16 @@ from .chern import (
     connection_data, curvature_components, frame_christoffels, _frame_covariant,
 )
 from .sode import (
-    JetPoint1, SodeSystem, as_expr, eval_array, expr_array, numeric_rank,
-    point_batch, reduce_residual, sample_points, splitting_curvature,
-    worst_abs, zero_symbolically, _diff,
+    JetPoint1, SodeSystem, as_expr, eval_array, expr_array, flow_derivative,
+    numeric_rank, point_batch, reduce_residual, sample_points,
+    splitting_curvature, worst_abs, zero_symbolically, _diff,
 )
 
 __all__ = [
     "ConditionResult", "ClassificationReport", "KosambiData",
     "SymbolicModeUnsupported", "NotPositiveDefinite",
-    "special_coordinate_conditions", "holonomy_span", "unimodular_test",
+    "special_coordinate_conditions", "holonomy_span", "holonomy_spans",
+    "unimodular_test",
     "orthogonal_residual", "parallel_metric_residual", "kosambi_invariants",
     "first_prolongation_dim", "curvature_span_matrices",
 ]
@@ -155,18 +156,23 @@ def curvature_span_matrices(s: SodeSystem):
     return out
 
 
+def holonomy_spans(s: SodeSystem, points, tol=1e-8) -> list:
+    """Rank of the span of the curvature endomorphisms at each point, as
+    vectors in n^2 space.  Rank n^2 certifies the full general linear algebra
+    at a point; partial ranks are reported without further interpretation.
+    None at a point where a curvature value is not finite: no rank is
+    claimed there.  The matrices are built once and evaluated on the batch."""
+    mats = np.stack([M for _, M in curvature_span_matrices(s)])
+    vals = eval_array(mats, s.vars.names, point_batch(s.vars, points))
+    rows = vals.reshape(len(mats), s.n ** 2, len(points))
+    return [numeric_rank(rows[..., k], tol)[0]
+            if np.isfinite(rows[..., k]).all() else None
+            for k in range(len(points))]
+
+
 def holonomy_span(s: SodeSystem, p: JetPoint1, tol=1e-8) -> int | None:
-    """Rank of the span of the curvature endomorphisms at p, as vectors in
-    n^2 space.  Rank n^2 certifies the full general linear algebra at p;
-    partial ranks are reported without further interpretation.  None when
-    a curvature value at p is not finite: no rank is claimed there."""
-    values = p.row
-    rows = [eval_array(M, s.vars.names, values).reshape(-1)
-            for _, M in curvature_span_matrices(s)]
-    if not all(np.isfinite(r).all() for r in rows):
-        return None
-    rank, _ = numeric_rank(rows, tol)
-    return rank
+    """`holonomy_spans` at the one point p."""
+    return holonomy_spans(s, [p], tol)[0]
 
 
 # --------------------------------------------------------------------------
@@ -245,12 +251,8 @@ def orthogonal_residual(s: SodeSystem, U, points, check_spd=True) -> dict:
     pde = expr_array((n, n))
     for i in range(n):
         for j in range(n):
-            transport = add(
-                _diff(as_expr(U[i, j]), s.vars.time),
-                *[mul(var(s.vars.velocities[a]),
-                      _diff(as_expr(U[i, j]), s.vars.positions[a]))
-                  for a in range(n)])
-            pde[i, j] = add(transport, as_expr(UW[i, j]), as_expr(UW[j, i]))
+            pde[i, j] = add(flow_derivative(s, as_expr(U[i, j])),
+                            as_expr(UW[i, j]), as_expr(UW[j, i]))
     batch = point_batch(s.vars, points)
     out = {"eq_PDE": reduce_residual([("eq_PDE", pde)], s, batch)[0]}
 
@@ -383,7 +385,7 @@ def classification_report(s: SodeSystem, points, mode="auto", U=None,
     if mode == "auto":
         mode = "symbolic" if all(is_polynomial(f) for f in s.F) else "numeric"
     flags = special_coordinate_conditions(s, mode=mode, points=points)
-    spans = [holonomy_span(s, p, tol=rank_tol) for p in points]
+    spans = holonomy_spans(s, points, tol=rank_tol)
     span = None if None in spans else max(spans)
     uni, decomp = unimodular_test(s, mode=mode, points=points)
     ortho = orthogonal_residual(s, U, points) if U is not None else None

@@ -36,7 +36,7 @@ from .chern import (
 )
 from .classify import (
     NotPositiveDefinite, classification_report, first_prolongation_dim,
-    holonomy_span, kosambi_invariants,
+    holonomy_spans, kosambi_invariants,
 )
 from .natjets import (
     MissingInverse, VerticalAutomorphism, curvature_kernel_dim,
@@ -398,8 +398,7 @@ def task_analyze(problem: Problem) -> dict:
             "charpoly_at_points": _array_values(
                 np.asarray(kos.charpoly, dtype=object), s, pts),
         },
-        "holonomy_span_per_point": [holonomy_span(s, p, tol["rank"])
-                                    for p in pts],
+        "holonomy_span_per_point": holonomy_spans(s, pts, tol["rank"]),
         "checks": {key: _residual_entry(val, tol["oracle"])
                    for key, val in checks.items()},
     }

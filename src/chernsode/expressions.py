@@ -62,7 +62,8 @@ class UnknownIdentifier(Exception):
 
 
 class DomainError(ArithmeticError):
-    """Evaluation left the real domain (1/0, log(x<=0), sqrt(x<0))."""
+    """Evaluation left the real domain (1/0, log(x<=0), sqrt(x<0)) or the
+    float range."""
 
 
 # --------------------------------------------------------------------------
@@ -1043,9 +1044,13 @@ def _float(q):
 
 def evaluate(e: Expr, env) -> float:
     """Evaluate at a point given as a mapping name -> real.  Raises DomainError
-    for division by zero, log of a non-positive value or sqrt of a negative.
-    Runs the program that `compile_expr(e, tuple(env))` returns."""
-    return _compile(e, tuple(env))(tuple(env.values()), _SCALAR)
+    for division by zero, log of a non-positive value, sqrt of a negative or
+    a value beyond the float range.  Runs the program that
+    `compile_expr(e, tuple(env))` returns."""
+    try:
+        return _compile(e, tuple(env))(tuple(env.values()), _SCALAR)
+    except OverflowError:
+        raise DomainError("value beyond the float range") from None
 
 
 def compile_expr(e: Expr, names):

@@ -31,12 +31,12 @@ import numpy as np
 
 from .chern import TorsionTensor
 from .expressions import (
-    Expr, ZERO, add, compile_expr, const, evaluate, free_variables, mul,
-    richardson, substitute, var,
+    Expr, ZERO, add, const, evaluate, free_variables, mul, richardson,
+    substitute, var,
 )
 from .sode import (
     HALF, QUARTER, JetPoint1, SodeSystem, as_expr, eval_array, expr_array,
-    numeric_rank, worst_abs, _diff,
+    monomials, numeric_rank, worst_abs, _diff,
 )
 
 __all__ = [
@@ -105,6 +105,30 @@ def jet_space(vars) -> JetSpace:
     return JetSpace(vars)
 
 
+def _jacobian(X, coords) -> np.ndarray:
+    """The entries of X differentiated along each coordinate, on a new last
+    axis: out[..., c] = d X[...] / d coords[c]."""
+    X = np.asarray(X, dtype=object)
+    out = expr_array(X.shape + (len(coords),))
+    for idx in np.ndindex(X.shape):
+        e = as_expr(X[idx])
+        out[idx] = [_diff(e, name) for name in coords]
+    return out
+
+
+def _total_time(f: Expr, vars) -> Expr:
+    """Total time derivative d/dt f + v^i d/dx^i f of f(t, x)."""
+    return add(_diff(f, vars.time),
+               *[mul(_diff(f, x), var(v))
+                 for x, v in zip(vars.positions, vars.velocities)])
+
+
+def _at(X, env) -> np.ndarray:
+    """`evaluate` of each entry of the object array X at env, in X's shape."""
+    X = np.asarray(X, dtype=object)
+    return np.array([evaluate(e, env) for e in X.flat]).reshape(X.shape)
+
+
 @dataclass(frozen=True)
 class SodeJet2:
     """Numeric 2-jet of a system at a point: value F, gradient D1 over the
@@ -147,22 +171,19 @@ class CurvatureValue:
 
 
 def jet2_of(s: SodeSystem, p: JetPoint1) -> SodeJet2:
-    """All derivatives of F through order two, evaluated at p."""
-    n = s.n
-    coords = s.coords
-    values = p.row
-    F = np.zeros(n)
-    D1 = np.zeros((n, 2 * n + 1))
-    D2 = np.zeros((n, 2 * n + 1, 2 * n + 1))
-    for i in range(n):
-        F[i] = compile_expr(s.F[i], s.vars.names)(values)
-        for c1, d1 in enumerate(coords):
-            first = _diff(s.F[i], d1)
-            D1[i, c1] = compile_expr(first, s.vars.names)(values)
-            for c2 in range(c1, len(coords)):
-                val = compile_expr(_diff(first, coords[c2]), s.vars.names)(values)
-                D2[i, c1, c2] = D2[i, c2, c1] = val
-    return SodeJet2(point=p, F=F, D1=D1, D2=D2)
+    """All derivatives of F through order two, evaluated at p: the
+    expressions of `jet_substitution(s)` in `jet_space(s.vars).fiber` order,
+    whose second derivatives are the upper triangle of each D2[i]."""
+    n, dim = s.n, 2 * s.n + 1
+    sub = jet_substitution(s)
+    vals = eval_array([sub[name] for name in jet_space(s.vars).fiber],
+                      s.vars.names, p.row)
+    upper = np.triu_indices(dim)
+    D2 = np.zeros((n, dim, dim))
+    D2[:, upper[0], upper[1]] = D2[:, upper[1], upper[0]] = \
+        vals[n + n * dim:].reshape(n, -1)
+    return SodeJet2(point=p, F=vals[:n], D1=vals[n:n + n * dim].reshape(n, dim),
+                    D2=D2)
 
 
 # --------------------------------------------------------------------------
@@ -467,21 +488,16 @@ def infinitesimal_equivariance(s: SodeSystem, u, p: JetPoint1):
     values = j2.row + ujet.values_for(u, base_env)
     if math.isnan(worst_abs(values)):
         return float("nan"), float("nan")
-
-    def field_apply(lhs):
-        return compile_expr(as_expr(lhs), names)(values)
-
+    field_P = eval_array(lhs_P, names, values)
+    field_T = eval_array(lhs_T, names, values)
     yv = curvature_mapping(j2, s.vars)
-    u_x = np.zeros((n, n))
-    for i in range(n):
-        for r in range(n):
-            u_x[i, r] = evaluate(_diff(u[i], s.vars.positions[r]), base_env)
+    u_x = _at(_jacobian(u, s.vars.positions), base_env)
 
-    delta_p = [field_apply(lhs_P[i, j])
+    delta_p = [field_P[i, j]
                - sum(u_x[i, r] * yv.y_P[r, j] - u_x[r, j] * yv.y_P[i, r]
                      for r in range(n))
                for i in range(n) for j in range(n)]
-    delta_t = [field_apply(lhs_T[k, i, j])
+    delta_t = [field_T[k, i, j]
                - sum(u_x[k, r] * yv.y_T[r, i, j]
                      - u_x[r, i] * yv.y_T[k, r, j]
                      - u_x[r, j] * yv.y_T[k, i, r]
@@ -497,11 +513,7 @@ def infinitesimal_equivariance(s: SodeSystem, u, p: JetPoint1):
 def random_polynomial_field(vars, seed, degree=4):
     """Random polynomial u^i(t, x) of total degree <= degree."""
     rng = np.random.default_rng(seed)
-    names = (vars.time,) + tuple(vars.positions)
-    monos = [()]
-    for _ in range(degree):
-        monos = monos + [m + (nm,) for m in monos for nm in names]
-    monos = sorted({tuple(sorted(m)) for m in monos})
+    monos = monomials((vars.time,) + tuple(vars.positions), degree)
     u = []
     for _ in range(vars.n):
         terms = [mul(const(Fraction(int(rng.integers(-8, 9)), 8)),
@@ -567,13 +579,7 @@ def curvature_kernel_dim(s: SodeSystem, p: JetPoint1, rel_tol=1e-8) -> int:
     ys = [y_P[i, j] for i in range(n) for j in range(n)]
     ys += [y_T[k, i, j] for k in range(n) for i in range(n)
            for j in range(i + 1, n)]
-    values = jet2_of(s, p).row
-    rows = []
-    for y in ys:
-        grad = expr_array(len(js.fiber))
-        for c, name in enumerate(js.fiber):
-            grad[c] = _diff(as_expr(y), name)
-        rows.append(eval_array(grad, js.all_coords, values))
+    rows = eval_array(_jacobian(ys, js.fiber), js.all_coords, jet2_of(s, p).row)
     rank, _ = numeric_rank(rows, rel_tol)
     return len(js.fiber) - rank
 
@@ -607,12 +613,7 @@ class VerticalAutomorphism:
         return len(self.phi)
 
     def jacobian(self):
-        n = self.n
-        J = expr_array((n, n))
-        for h in range(n):
-            for i in range(n):
-                J[h, i] = _diff(self.phi[h], self.vars.positions[i])
-        return J
+        return _jacobian(self.phi, self.vars.positions)
 
     def validate(self, points, det_tol=1e-8, roundtrip_tol=1e-10):
         J = self.jacobian()
@@ -664,12 +665,8 @@ def random_automorphism(vars, seed, scale=Fraction(1, 4)) -> VerticalAutomorphis
     scale = Fraction(scale)
 
     def poly(names):
-        monos = [()]
-        for _ in range(2):
-            monos = monos + [m + (nm,) for m in monos for nm in names]
-        monos = sorted({tuple(sorted(m)) for m in monos})
         terms = [mul(const(scale * Fraction(int(rng.integers(-4, 5)), 4)),
-                     *[var(nm) for nm in m]) for m in monos]
+                     *[var(nm) for nm in m]) for m in monomials(names, 2)]
         return add(*terms)
 
     def shear(lower):
@@ -708,10 +705,7 @@ def _prolong1_exprs(auto: VerticalAutomorphism) -> np.ndarray:
     out[0] = var(vars.time)
     for h in range(n):
         out[1 + h] = auto.phi[h]
-        out[1 + n + h] = add(
-            _diff(auto.phi[h], vars.time),
-            *[mul(_diff(auto.phi[h], vars.positions[i]), var(vars.velocities[i]))
-              for i in range(n)])
+        out[1 + n + h] = _total_time(auto.phi[h], vars)
     return out
 
 
@@ -745,8 +739,7 @@ def _push_value_exprs(auto: VerticalAutomorphism, s: SodeSystem) -> tuple:
 def push_sode_value(auto: VerticalAutomorphism, s: SodeSystem,
                     p: JetPoint1) -> np.ndarray:
     """Value of the pushed system at the pushed point; no inverse needed."""
-    env = p.env(s.vars)
-    return np.array([evaluate(g, env) for g in _push_value_exprs(auto, s)])
+    return _at(_push_value_exprs(auto, s), p.env(s.vars))
 
 
 def push_sode_symbolic(auto: VerticalAutomorphism, s: SodeSystem) -> SodeSystem:
@@ -755,30 +748,21 @@ def push_sode_symbolic(auto: VerticalAutomorphism, s: SodeSystem) -> SodeSystem:
     if auto.inverse is None:
         raise MissingInverse("symbolic push needs the inverse components")
     vars = s.vars
-    n = s.n
-    psi = auto.inverse
-    sub = {vars.positions[i]: psi[i] for i in range(n)}
-    for i in range(n):
-        sub[vars.velocities[i]] = add(
-            _diff(psi[i], vars.time),
-            *[mul(_diff(psi[i], vars.positions[j]), var(vars.velocities[j]))
-              for j in range(n)])
+    sub = dict(zip(vars.positions, auto.inverse))
+    sub.update((v, _total_time(psi, vars))
+               for v, psi in zip(vars.velocities, auto.inverse))
     F = tuple(substitute(g, sub) for g in _push_value_exprs(auto, s))
     return SodeSystem(vars=vars, F=F)
 
 
 @lru_cache(maxsize=None)
 def _chain_rule_exprs(auto: VerticalAutomorphism, s: SodeSystem):
-    coords = s.coords
+    """The pushed values G and the 1-jet map M with their gradients and
+    Hessians over the base coordinates (last axes)."""
     G = _push_value_exprs(auto, s)
     M = _prolong1_exprs(auto)
-    dG = tuple(tuple(_diff(g, c) for c in coords) for g in G)
-    hG = tuple(tuple(tuple(_diff(dg, c2) for c2 in coords) for dg in row)
-               for row in dG)
-    dM = tuple(tuple(_diff(as_expr(m), c) for c in coords) for m in M)
-    hM = tuple(tuple(tuple(_diff(dm, c2) for c2 in coords) for dm in row)
-               for row in dM)
-    return G, M, dG, hG, dM, hM
+    dG, dM = _jacobian(G, s.coords), _jacobian(M, s.coords)
+    return G, M, dG, _jacobian(dG, s.coords), dM, _jacobian(dM, s.coords)
 
 
 def pushed_jet2(auto: VerticalAutomorphism, s: SodeSystem,
@@ -787,21 +771,10 @@ def pushed_jet2(auto: VerticalAutomorphism, s: SodeSystem,
     the chain rule numerically (the 1-jet map's Jacobian is inverted as a
     matrix at the point, so no symbolic inverse of phi is required)."""
     n = s.n
-    names, values = s.vars.names, p.row
-    G, M, dG, hG, dM, hM = _chain_rule_exprs(auto, s)
-
-    def ev(e):
-        return compile_expr(as_expr(e), names)(values)
+    g_val, m_val, dg, hg, jmat, hm = (
+        eval_array(X, s.vars.names, p.row) for X in _chain_rule_exprs(auto, s))
 
     dim = 2 * n + 1
-    g_val = np.array([ev(g) for g in G])
-    dg = np.array([[ev(dG[h][c]) for c in range(dim)] for h in range(n)])
-    hg = np.array([[[ev(hG[h][c1][c2]) for c2 in range(dim)]
-                    for c1 in range(dim)] for h in range(n)])
-    jmat = np.array([[ev(dM[r][c]) for c in range(dim)] for r in range(dim)])
-    hm = np.array([[[ev(hM[r][c1][c2]) for c2 in range(dim)]
-                    for c1 in range(dim)] for r in range(dim)])
-
     jinv = np.linalg.inv(jmat)
     d1 = dg @ jinv
     d2 = np.zeros((n, dim, dim))
@@ -810,7 +783,6 @@ def pushed_jet2(auto: VerticalAutomorphism, s: SodeSystem,
         d2[h] = jinv.T @ corrected @ jinv
         d2[h] = (d2[h] + d2[h].T) / 2.0
 
-    m_val = np.array([ev(m) for m in M])
     p_prime = JetPoint1(m_val[0], tuple(m_val[1:1 + n]), tuple(m_val[1 + n:]))
     return SodeJet2(point=p_prime, F=g_val, D1=d1, D2=d2)
 
@@ -866,6 +838,9 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
     dim = 2 * n + 1
     vars = s.vars
     jac = auto.jacobian()
+    flow_jac = np.array([_total_time(e, vars) for e in jac.flat],
+                        dtype=object).reshape(n, n)
+    hess = _jacobian(jac, vars.positions)
     sc = splitting_curvature(s, check="none")
 
     deltas = {k: [] for k in ("eq_partialF", "eq_Partial2F", "frame_push",
@@ -881,27 +856,12 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
 
         # (i) first derivative law: fd oracle against the closed formula
         fd = _fd_push_derivative(auto, s, p, jx_inv)
-        flow_phi = np.zeros((n, n))
-        for h in range(n):
-            for b in range(n):
-                d_phi = _diff(auto.phi[h], vars.positions[b])
-                flow_phi[h, b] = evaluate(
-                    add(_diff(d_phi, vars.time),
-                        *[mul(_diff(d_phi, vars.positions[r]),
-                              var(vars.velocities[r])) for r in range(n)]),
-                    env)
-        rhs1 = 2.0 * flow_phi @ jx_inv + jx @ j2.F_v @ jx_inv
+        rhs1 = 2.0 * _at(flow_jac, env) @ jx_inv + jx @ j2.F_v @ jx_inv
         deltas["eq_partialF"].append(fd - rhs1)
 
         # (ii) second derivative law against the chain-rule jet
         lhs2 = pushed.F_vv
-        phi_xx = np.zeros((n, n, n))
-        for h in range(n):
-            for a in range(n):
-                for b in range(n):
-                    phi_xx[h, a, b] = evaluate(
-                        _diff(_diff(auto.phi[h], vars.positions[a]),
-                              vars.positions[b]), env)
+        phi_xx = _at(hess, env)
         # second v-derivative of the pushed-value expression: the quadratic
         # phi_xx v v term contributes twice
         rhs2 = 2.0 * np.einsum("hab,ai,bj->hij", phi_xx, jx_inv, jx_inv) \

@@ -544,6 +544,15 @@ def splitting_curvature(s: SodeSystem, check="numeric", points=None,
 # seeded polynomial systems for batteries and the selftest
 # --------------------------------------------------------------------------
 
+def monomials(names, degree) -> list:
+    """The monomials of total degree <= degree in `names`, each a sorted
+    tuple of names (one per factor), in sorted order."""
+    out = [()]
+    for _ in range(degree):
+        out = out + [m + (name,) for m in out for name in names]
+    return sorted({tuple(sorted(m)) for m in out})
+
+
 def random_polynomial_sode(n, seed, deg_v=3, deg_x=2, deg_t=1,
                            density=0.25) -> SodeSystem:
     """Sparse random polynomial right-hand sides with exact rational
@@ -553,13 +562,6 @@ def random_polynomial_sode(n, seed, deg_v=3, deg_x=2, deg_t=1,
     exercised."""
     rng = np.random.default_rng(seed)
     vars = VarSet.default(n)
-
-    def monomials(names, deg):
-        out = [()]
-        for _ in range(deg):
-            out = out + [m + (name,) for m in out for name in names]
-        return sorted({tuple(sorted(m)) for m in out})
-
     v_monos = monomials(vars.velocities, deg_v)
     x_monos = monomials(vars.positions, deg_x)
     t_monos = monomials((vars.time,), deg_t)
