@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 import operator
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 from array import array
 from dataclasses import dataclass
 from decimal import Decimal
@@ -71,19 +73,35 @@ class DomainError(ArithmeticError):
 # --------------------------------------------------------------------------
 
 class Expr:
-    """Immutable expression node; subclasses set all fields at construction."""
+    """Immutable, interned expression node.  Building a node equal to a live
+    one returns that node, so equal nodes are one object and `==` is `is`;
+    constants alone compare by value (see Const).  The hash is structural,
+    never by identity or by the order nodes were built in."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "__weakref__")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other) or self._hash != other._hash:
-            return False
-        return self._key() == other._key()
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        entry = _NODES.get(key)
+        node = None if entry is None else entry()
+        if node is None:
+            if cls is Const:    # found by the value as given, kept exact
+                value, = fields
+                fields = (value if isinstance(value, Fraction)
+                          else Fraction(value),)
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                setattr(node, name, value)
+            node._hash = hash(cls._hashed(*fields))
+            entry = _NODES[key] = _Entry(node, _drop)
+            entry.key = key
+        return node
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):       # copies and unpickled nodes are interned too
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self):
         return to_string(self)
@@ -127,89 +145,72 @@ class Expr:
         return neg(self)
 
 
+# the live node of each (class, *fields), held weakly: an entry goes when its
+# node dies.  Constant fields compare by value, so a node over ZERO and one
+# over const(0) are one node.
+_NODES = {}
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(entry, nodes=_NODES, remove=_remove_dead_weakref):
+    # bound as defaults: nodes may die while the interpreter clears globals
+    remove(nodes, entry.key)
+
+
 class Const(Expr):
+    """Rational constant.  Constants compare by value: const(0) == ZERO,
+    though they are two nodes."""
+
     __slots__ = ("value",)
+    _hashed = staticmethod(lambda value: ("c", value))
 
-    def __init__(self, value):
-        self.value = value if isinstance(value, Fraction) else Fraction(value)
-        self._hash = hash(("c", self.value))
+    def __eq__(self, other):
+        return self is other or (type(other) is Const
+                                 and self.value == other.value)
 
-    def _key(self):
-        return self.value
+    __hash__ = Expr.__hash__
 
 
 class Var(Expr):
     __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-        self._hash = hash(("v", name))
-
-    def _key(self):
-        return self.name
+    _hashed = staticmethod(lambda name: ("v", name))
 
 
 class Add(Expr):
     __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = terms
-        self._hash = hash(("+",) + terms)
-
-    def _key(self):
-        return self.terms
+    _hashed = staticmethod(lambda terms: ("+",) + terms)
 
 
 class Mul(Expr):
     __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        self.factors = factors
-        self._hash = hash(("*",) + factors)
-
-    def _key(self):
-        return self.factors
+    _hashed = staticmethod(lambda factors: ("*",) + factors)
 
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent):
-        self.base = base
-        self.exponent = exponent
-        self._hash = hash(("^", base, exponent))
-
-    def _key(self):
-        return (self.base, self.exponent)
+    _hashed = staticmethod(lambda base, exponent: ("^", base, exponent))
 
 
 class Call(Expr):
     __slots__ = ("func", "arg")
-
-    def __init__(self, func, arg):
-        self.func = func
-        self.arg = arg
-        self._hash = hash((func, arg))
-
-    def _key(self):
-        return (self.func, self.arg)
+    _hashed = staticmethod(lambda func, arg: (func, arg))
 
 
-ZERO = Const(0)
-ONE = Const(1)
+# ZERO and ONE stay out of the table: a constant built later is never one of
+# them, so `e is ZERO` means zero by construction, while const(0) == ZERO
+ZERO, ONE = Const(0), Const(1)
+del _NODES[Const, 0], _NODES[Const, 1]
 MINUS_ONE = Const(-1)
-# shared nodes for the small numbers callers pass to add and mul, such as
-# mul(-1, ...) and mul(2, ...); none of them is ZERO or ONE, so an `is ZERO`
-# test reads the same as for a fresh Const
-_SMALL_CONSTS = {k: Const(k) for k in range(-8, 9)}
 
 
 def _coerce(x):
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction, float)):
-        c = _SMALL_CONSTS.get(x)
-        return c if c is not None else Const(Fraction(x))
+        return Const(x)
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
@@ -842,38 +843,47 @@ def is_polynomial(e: Expr) -> bool:
 # --------------------------------------------------------------------------
 
 def free_variables(e: Expr) -> frozenset:
-    out = set()
-    stack = [e]
+    """Names of the variables in e; each distinct node is visited once."""
+    out, seen, stack = set(), set(), [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
+        t = type(node)
+        if t is Var:
             out.add(node.name)
-        elif isinstance(node, Add):
-            stack.extend(node.terms)
-        elif isinstance(node, Mul):
-            stack.extend(node.factors)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
+        elif t is not Const and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.terms if t is Add else node.factors if t is Mul
+                         else (node.base,) if t is Pow else (node.arg,))
     return frozenset(out)
 
 
 def substitute(e: Expr, mapping) -> Expr:
-    """Replace variables by expressions (mapping name -> Expr)."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, Add):
-        return add(*[substitute(t, mapping) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[substitute(f, mapping) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(substitute(e.base, mapping), e.exponent)
-    if isinstance(e, Call):
-        return Call(e.func, substitute(e.arg, mapping))
-    raise TypeError(f"cannot substitute in {type(e).__name__}")
+    """Replace variables by expressions (mapping name -> Expr); each distinct
+    node is rebuilt once."""
+    memo = {}
+
+    def walk(node):
+        out = memo.get(id(node))
+        if out is None:
+            t = type(node)
+            if t is Const:
+                out = node
+            elif t is Var:
+                out = mapping.get(node.name, node)
+            elif t is Add:
+                out = add(*map(walk, node.terms))
+            elif t is Mul:
+                out = mul(*map(walk, node.factors))
+            elif t is Pow:
+                out = pow_(walk(node.base), node.exponent)
+            elif t is Call:
+                out = Call(node.func, walk(node.arg))
+            else:
+                raise TypeError(f"cannot substitute in {t.__name__}")
+            memo[id(node)] = out
+        return out
+
+    return walk(e)
 
 
 # --------------------------------------------------------------------------
@@ -938,9 +948,10 @@ def to_string(e: Expr) -> str:
 # A program gives each distinct node of an expression a register: constants
 # (floats, and the integer exponents of powers) and variables first, then one
 # flat instruction (opcode, operand count, operand registers...) per compound
-# node in post-order.  _run executes them with a table of operations, without
-# recursion; run_programs runs the programs of one call over one memo, so
-# that a value they share is computed once per call.
+# node in post-order, and it keeps those nodes.  _run executes them with a
+# table of operations, without recursion; run_programs runs the programs of
+# one call over one memo keyed by node, so that a node they share is computed
+# once per call.
 
 def _fail(message):
     raise DomainError(message)
@@ -961,13 +972,13 @@ _SCALAR = (float, (
     lambda a: _fail("sqrt of a negative value") if a < 0.0 else math.sqrt(a)))
 
 
-def _run(consts, loads, code, values, table=_BATCH, memo=None, keys=()):
-    """The program's value.  With a memo, `keys` numbers the value of each
-    instruction: one found in the memo is read from it, and every value
-    computed is stored there under its number."""
+def _run(consts, loads, code, nodes, values, table=_BATCH, memo=None):
+    """The program's value.  With a memo, the value of an instruction's node
+    is read from it when there, else computed and stored there, under the
+    node's id."""
     load, ops = table
     regs = [*consts, *[load(values[i]) for i in loads]]
-    reg, it, keys = regs.__getitem__, iter(code), iter(keys)
+    reg, it, keys = regs.__getitem__, iter(code), map(id, nodes)
     for op in it:                       # opcode, count, operands
         args = map(reg, islice(it, next(it)))
         if memo is not None:
@@ -984,45 +995,26 @@ def _run(consts, loads, code, values, table=_BATCH, memo=None, keys=()):
     return regs[-1]
 
 
-def _numbering(programs):
-    """Number the instructions of the programs alike exactly when they apply
-    one operation to operands numbered alike (constants by value, variables by
-    position), so that alike means equal values; return each program's
-    numbers, and the numbers whose last program is each program."""
-    number, keys = {}, []
-    for program in programs:
-        consts, loads, code = program.args
-        regs = [number.setdefault((type(c), c), len(number)) for c in consts]
-        regs += [number.setdefault(("v", i), len(number)) for i in loads]
-        own = len(regs)
-        reg, it = regs.__getitem__, iter(code)
-        for op in it:
-            regs.append(number.setdefault(
-                (op, *map(reg, islice(it, next(it)))), len(number)))
-        keys.append(regs[own:])
-    last = {}
-    for k, own in enumerate(keys):
-        last.update(dict.fromkeys(own, k))
-    dead = [[] for _ in programs]
-    for key, k in last.items():
-        dead[k].append(key)
-    return keys, dead
-
-
 def run_programs(programs, values, table=_BATCH):
-    """Run programs on one batch in order and yield the value of each.  They
-    share one memo, so a value that several of them compute is computed once
-    per call, and it is dropped after the last program that needs it.  At a
+    """Run programs, compiled over the names that `values` follows, on one
+    batch in order and yield the value of each.  They share one memo keyed by
+    node, so a node that several of them compute is computed once per call,
+    and its value is dropped after the last program that needs it.  At a
     single point (no value with a batch axis) each program runs alone: there
-    an operation costs less than numbering it."""
+    an operation costs less than its memo entry."""
     if not any(isinstance(v, np.ndarray) and v.ndim for v in values):
         for program in programs:
             yield program(values, table)
         return
-    keys, dead = _numbering(programs)
+    last = {}
+    for k, program in enumerate(programs):
+        last.update(dict.fromkeys(map(id, program.args[3]), k))
+    dead = [[] for _ in programs]
+    for key, k in last.items():
+        dead[k].append(key)
     memo = {}
-    for program, own, gone in zip(programs, keys, dead):
-        yield program(values, table, memo, own)
+    for program, gone in zip(programs, dead):
+        yield program(values, table, memo)
         for key in gone:
             del memo[key]
 
@@ -1044,13 +1036,16 @@ def _float(q):
 
 def evaluate(e: Expr, env) -> float:
     """Evaluate at a point given as a mapping name -> real.  Raises DomainError
-    for division by zero, log of a non-positive value, sqrt of a negative or
-    a value beyond the float range.  Runs the program that
-    `compile_expr(e, tuple(env))` returns."""
+    for division by zero, log of a non-positive value, sqrt of a negative, a
+    value beyond the float range, sin or cos of an infinity and inf - inf.
+    Runs the program that `compile_expr(e, tuple(env))` returns."""
+    values = tuple(map(float, env.values()))
     try:
-        return _compile(e, tuple(env))(tuple(env.values()), _SCALAR)
+        return _compile(e, tuple(env))(values, _SCALAR)
     except OverflowError:
         raise DomainError("value beyond the float range") from None
+    except ValueError:      # math.sin/cos of +-inf, inf - inf in math.fsum
+        raise DomainError("sin or cos of an infinity, or inf - inf") from None
 
 
 def compile_expr(e: Expr, names):
@@ -1065,16 +1060,14 @@ def compile_expr(e: Expr, names):
 def _compile(e: Expr, names: tuple):
     index = {name: i for i, name in enumerate(names)}
     consts, reads, nodes = [], [], []       # each in post-order
-    first, alias = {}, {}   # node -> first equal node met; id of each met -> that
+    seen = set()                            # ids of the nodes met
     stack = [(e, None)]
     while stack:
         node, args = stack.pop()
         if args is None:
-            if id(node) in alias:
+            if id(node) in seen:
                 continue
-            alias[id(node)] = same = first.setdefault(node, node)
-            if same is not node:
-                continue
+            seen.add(id(node))
             args = _operands(node)
             if args:                        # operands first, left to right
                 stack.append((node, args))
@@ -1086,7 +1079,7 @@ def _compile(e: Expr, names: tuple):
     for node in nodes:
         args = _operands(node)
         code.extend((_OPCODE[node.func if type(node) is Call else type(node)],
-                     len(args), *[slot[id(alias[id(a)])] for a in args]))
+                     len(args), *[slot[id(a)] for a in args]))
     return partial(_run, tuple(_float(c.value) if type(c) is Const else c
                                for c in consts),
-                   tuple(index[v.name] for v in reads), code)
+                   tuple(index[v.name] for v in reads), code, tuple(nodes))

@@ -36,7 +36,7 @@ from .expressions import (
 )
 from .sode import (
     HALF, QUARTER, JetPoint1, SodeSystem, as_expr, eval_array, expr_array,
-    monomials, numeric_rank, worst_abs, _diff,
+    monomials, numeric_rank, splitting_curvature, worst_abs, _diff,
 )
 
 __all__ = [
@@ -237,11 +237,8 @@ def curvature_mapping_exprs(vars):
     return y_P, y_T
 
 
-def curvature_mapping(j2: SodeJet2, vars=None) -> CurvatureValue:
-    """Evaluate the curvature mapping at a 2-jet."""
-    n = j2.n
-    from .expressions import VarSet
-    vars = vars or VarSet.default(n)
+def curvature_mapping(j2: SodeJet2, vars) -> CurvatureValue:
+    """Evaluate the curvature mapping at a 2-jet over `vars`."""
     js = jet_space(vars)
     y_P, y_T = curvature_mapping_exprs(vars)
     values = j2.row
@@ -485,13 +482,15 @@ def infinitesimal_equivariance(s: SodeSystem, u, p: JetPoint1):
     j2 = jet2_of(s, p)
     base_env = p.env(s.vars)
     names = js.all_coords + tuple(ujet.names)
-    values = j2.row + ujet.values_for(u, base_env)
+    u_values = dict(zip(ujet.names, ujet.values_for(u, base_env)))
+    values = j2.row + list(u_values.values())
     if math.isnan(worst_abs(values)):
         return float("nan"), float("nan")
     field_P = eval_array(lhs_P, names, values)
     field_T = eval_array(lhs_T, names, values)
     yv = curvature_mapping(j2, s.vars)
-    u_x = _at(_jacobian(u, s.vars.positions), base_env)
+    u_x = np.array([[u_values[ujet.index[(i, (x,))]] for x in s.vars.positions]
+                    for i in range(n)])
 
     delta_p = [field_P[i, j]
                - sum(u_x[i, r] * yv.y_P[r, j] - u_x[r, j] * yv.y_P[i, r]
@@ -570,9 +569,10 @@ def order0_distribution_rank(n, s: SodeSystem, p: JetPoint1,
     return rank
 
 
-def curvature_kernel_dim(s: SodeSystem, p: JetPoint1, rel_tol=1e-8) -> int:
+def curvature_kernel_dim(s: SodeSystem, p: JetPoint1) -> int:
     """Kernel dimension of the curvature mapping differential at the jet of
-    s at p: number of fiber coordinates minus the rank of the y-Jacobian."""
+    s at p: number of fiber coordinates minus the rank of the y-Jacobian
+    (`numeric_rank` at its relative tolerance 1e-8)."""
     js = jet_space(s.vars)
     n = s.n
     y_P, y_T = curvature_mapping_exprs(s.vars)
@@ -580,7 +580,7 @@ def curvature_kernel_dim(s: SodeSystem, p: JetPoint1, rel_tol=1e-8) -> int:
     ys += [y_T[k, i, j] for k in range(n) for i in range(n)
            for j in range(i + 1, n)]
     rows = eval_array(_jacobian(ys, js.fiber), js.all_coords, jet2_of(s, p).row)
-    rank, _ = numeric_rank(rows, rel_tol)
+    rank, _ = numeric_rank(rows)
     return len(js.fiber) - rank
 
 
@@ -833,7 +833,6 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
     laws, torsion equivariance on frame pairs, the curvature-mapping
     equivariance (conjugation of P, two-cotangent transformation of T) and
     invariance of the Kosambi characteristic polynomial."""
-    from .sode import splitting_curvature
     n = s.n
     dim = 2 * n + 1
     vars = s.vars

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    Expr, add, const, free_variables, mul, pow_, simplify, var,
+    Expr, add, call, const, free_variables, mul, pow_, simplify, var,
 )
 from .sode import (
     HALF, SodeSystem, as_expr, eval_array, expr_array, max_abs,
     point_batch, sample_points, splitting_curvature, zero_symbolically, _diff,
 )
 from .chern import curvature_components
+from .classify import orthogonal_residual, parallel_metric_residual
 
 __all__ = [
     "MetricField", "SingularMetric", "christoffel", "geodesic_spray",
@@ -88,7 +89,6 @@ def sphere_metric(vars) -> MetricField:
     if vars.n != 2:
         raise ValueError("the sphere metric is 2-dimensional")
     x1 = var(vars.positions[0])
-    from .expressions import call
     g = [[const(1), const(0)], [const(0), mul(call("sin", x1), call("sin", x1))]]
     return MetricField(vars=vars, g=g, box={"position": (0.3, 2.8)})
 
@@ -276,7 +276,6 @@ def metric_compatibility(metric: MetricField, points=None, count=50,
                          seed=2024) -> dict:
     """For the spray of g: residuals of the transport system with U = g and
     of parallelism of the block metric dt^2 + g omega omega + g varpi varpi."""
-    from .classify import orthogonal_residual, parallel_metric_residual
     s = geodesic_spray(metric)
     if points is None:
         points = sample_points(s.vars, count, seed, metric.sample_box())

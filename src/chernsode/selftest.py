@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .expressions import (
-    VarSet, const, diff, evaluate, free_variables, parse, richardson,
-    simplify,
+    VarSet, compile_expr, const, diff, evaluate, free_variables, parse,
+    richardson, simplify, substitute,
 )
 from .sode import (
     SodeSystem, max_abs, random_polynomial_sode, sample_points,
@@ -189,7 +189,6 @@ def criterion_curvature_mapping(triples=20):
     """C8: the y-formulas composed with a system jet equal (-P, -T)
     symbolically for n in {1, 2}; infinitesimal equivariance holds on random
     (field, system, point) triples."""
-    from .expressions import substitute
     symbolic_ok = True
     for n, seed in ((1, 11), (2, 12)):
         s = random_polynomial_sode(n, seed=seed)
@@ -284,7 +283,6 @@ def criterion_fd_oracle(points_per=20):
     """C11: symbolic derivatives agree with the finite-difference oracle
     (central differences with one Richardson step) to relative 1e-6 on a
     pool of at least 200 expressions in actual use."""
-    from .expressions import compile_expr
     rng = np.random.default_rng(99)
     pool = _expression_pool()
     relative = []

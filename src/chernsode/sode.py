@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .expressions import (
-    Expr, VarSet, ZERO, _CACHE_SIZE, add, compile_expr, const, diff, mul,
-    run_programs, simplify, var,
+    Expr, VarSet, ZERO, _CACHE_SIZE, add, compile_expr, const, diff,
+    free_variables, mul, run_programs, simplify, var,
 )
 
 HALF = const(Fraction(1, 2))
@@ -141,7 +141,6 @@ class SodeSystem:
         if len(self.F) != n:
             raise ValueError(f"expected {n} right-hand sides, got {len(self.F)}")
         declared = set(self.vars.names)
-        from .expressions import free_variables
         for f in self.F:
             extra = free_variables(f) - declared
             if extra:
