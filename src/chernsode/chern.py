@@ -20,9 +20,9 @@ import numpy as np
 from .expressions import ZERO, add, mul, simplify
 from .sode import (
     HALF, SodeSystem, as_expr, bracket, check_residual, coframe_symbolic,
-    directional, endomorphism_E, eval_array, expr_array, f_v, f_vv, f_vvv,
-    frame_symbolic, lie_derivative_J, point_batch, reduce_residual,
-    splitting_curvature, worst_abs, _diff,
+    directional, endomorphism_E, eval_array, expr_array, frame_symbolic,
+    lie_derivative_J, point_batch, reduce_residual, splitting_curvature,
+    worst_abs, _jacobian,
 )
 
 __all__ = [
@@ -89,15 +89,9 @@ class CurvatureComponents:
 # --------------------------------------------------------------------------
 
 def connection_data(s: SodeSystem) -> ConnectionData:
-    n = s.n
-    W = expr_array((n, n))
-    V = expr_array((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            W[i, j] = mul(HALF, f_v(s, i, j))
-            for k in range(n):
-                V[i, j, k] = mul(HALF, f_vv(s, i, j, k))
-    return ConnectionData(W=W, V=V)
+    vels = s.vars.velocities
+    Fv = _jacobian(s.F, vels)
+    return ConnectionData(W=HALF * Fv, V=HALF * _jacobian(Fv, vels))
 
 
 def frame_christoffels(s: SodeSystem, w_shift=0) -> np.ndarray:
@@ -260,25 +254,16 @@ def _curvature_deltas(s: SodeSystem, comp) -> list:
 
 
 def curvature_components(s: SodeSystem) -> CurvatureComponents:
-    n = s.n
+    """A^h_{kj} = (1/2)(T^h_{jk} - dP^h_k/dv^j - dP^h_j/dv^k),
+    B^h_{ijk} = -dT^h_{ij}/dv^k and R^h_{ijk} = (1/2) d3F^h/dv^i dv^j dv^k."""
     sc = splitting_curvature(s, check="none")
-    A = expr_array((n, n, n))
-    B = expr_array((n, n, n, n))
-    R = expr_array((n, n, n, n))
     vels = s.vars.velocities
-    for h in range(n):
-        for k in range(n):
-            for j in range(n):
-                A[h, k, j] = mul(HALF, add(
-                    sc.T[h, j, k],
-                    mul(-1, _diff(sc.P[h, k], vels[j])),
-                    mul(-1, _diff(sc.P[h, j], vels[k]))))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    B[h, i, j, k] = mul(-1, _diff(sc.T[h, i, j], vels[k]))
-                    R[h, i, j, k] = mul(HALF, f_vvv(s, h, i, j, k))
-    return CurvatureComponents(A=A, B=B, R=R)
+    dP = _jacobian(sc.P, vels)
+    Fvv = _jacobian(_jacobian(s.F, vels), vels)
+    return CurvatureComponents(
+        A=HALF * (sc.T.transpose(0, 2, 1) - dP - dP.transpose(0, 2, 1)),
+        B=-_jacobian(sc.T, vels),
+        R=HALF * _jacobian(Fvv, vels))
 
 
 def curvature_definition(s: SodeSystem, a, b, c, gamma=None) -> np.ndarray:
@@ -360,28 +345,16 @@ def verify_structure_identities(s: SodeSystem, points) -> dict:
     (ii) 3T^i_{kj} = dP^i_j/dv^k - dP^i_k/dv^j."""
     n = s.n
     sc = splitting_curvature(s, check="none")
-    vels = s.vars.velocities
+    dP = _jacobian(sc.P, s.vars.velocities)    # [h, k, j]: dP^h_k/dv^j
     R = _curvature_array(s, frame_christoffels(s))
     batch = point_batch(s.vars, points)
 
-    res_a = expr_array((n, n, n))
-    for j in range(n):
-        for k in range(n):
-            for h in range(n):
-                a_def = R[0, 1 + j, 1 + k, 1 + h]  # coefficient on X_h
-                res_a[h, k, j] = add(
-                    mul(2, a_def), mul(-1, sc.T[h, j, k]),
-                    _diff(sc.P[h, k], vels[j]), _diff(sc.P[h, j], vels[k]))
+    # R[0, 1 + j, 1 + k, 1 + h] is the coefficient of X_h in R(X, X_j)X_k
+    a_def = R[0, 1:1 + n, 1:1 + n, 1:1 + n].transpose(2, 1, 0)
+    res_a = 2 * a_def - sc.T.transpose(0, 2, 1) + dP + dP.transpose(0, 2, 1)
     eq_as = reduce_residual([("eq_As", res_a)], s, batch)[0]
 
-    res_t = expr_array((n, n, n))
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                res_t[i, k, j] = add(
-                    mul(3, sc.T[i, k, j]),
-                    mul(-1, _diff(sc.P[i, j], vels[k])),
-                    _diff(sc.P[i, k], vels[j]))
+    res_t = 3 * sc.T - dP.transpose(0, 2, 1) + dP
     eq_3t = reduce_residual([("eq_3T", res_t)], s, batch)[0]
     return {"eq_As": eq_as, "eq_3T": eq_3t}
 

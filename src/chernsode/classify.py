@@ -24,7 +24,7 @@ from .chern import (
 from .sode import (
     JetPoint1, SodeSystem, as_expr, eval_array, expr_array, flow_derivative,
     numeric_rank, point_batch, reduce_residual, sample_points,
-    splitting_curvature, worst_abs, zero_symbolically, _diff,
+    splitting_curvature, worst_abs, zero_symbolically, _jacobian,
 )
 
 __all__ = [
@@ -187,28 +187,24 @@ def unimodular_test(s: SodeSystem, mode="auto", points=None, tol=1e-10):
     if mode == "auto":
         mode = "symbolic" if all(is_polynomial(f) for f in s.F) else "numeric"
     n = s.n
-    vels, poss, time = s.vars.velocities, s.vars.positions, s.vars.time
-    D = add(*[f_vh for f_vh in (_diff(s.F[h], vels[h]) for h in range(n))])
-    F_i = [simplify(_diff(D, vels[i])) for i in range(n)]
+    vels = s.vars.velocities
+    D = add(*np.diagonal(_jacobian(s.F, vels)))
+    F_i = [simplify(e) for e in _jacobian(D, vels)]
     F_0 = simplify(add(D, *[mul(-1, F_i[i], var(vels[i])) for i in range(n)]))
 
-    named = []
-    for i in range(n):
-        for j in range(n):
-            named.append((f"d2D/dv[{i}]dv[{j}]", _diff(F_i[i], vels[j])))
+    named = [(f"d2D/dv[{i}]dv[{j}]", e)
+             for (i, j), e in np.ndenumerate(_jacobian(F_i, vels))]
     affine = _condition(named, s, mode, points, tol)
     if not affine.holds:
         return affine, None
 
-    named = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            named.append((f"dF_{j}/dx[{i}] - dF_{i}/dx[{j}]",
-                          add(_diff(F_i[j], poss[i]),
-                              mul(-1, _diff(F_i[i], poss[j])))))
-    for j in range(n):
-        named.append((f"dF_{j}/dt - dF_0/dx[{j}]",
-                      add(_diff(F_i[j], time), mul(-1, _diff(F_0, poss[j])))))
+    # G[a, b] = dF_a/dy^b over F_0, F_1.. and y = (t, x): closed iff symmetric
+    G = _jacobian((F_0, *F_i), (s.vars.time, *s.vars.positions))
+    named = [(f"dF_{j}/dx[{i}] - dF_{i}/dx[{j}]",
+              add(G[1 + j, 1 + i], mul(-1, G[1 + i, 1 + j])))
+             for i in range(n) for j in range(i + 1, n)]
+    named += [(f"dF_{j}/dt - dF_0/dx[{j}]", add(G[1 + j, 0], mul(-1, G[0, 1 + j])))
+              for j in range(n)]
     closed = _condition(named, s, mode, points, tol)
     if not closed.holds:
         return closed, None
@@ -256,15 +252,11 @@ def orthogonal_residual(s: SodeSystem, U, points, check_spd=True) -> dict:
     batch = point_batch(s.vars, points)
     out = {"eq_PDE": reduce_residual([("eq_PDE", pde)], s, batch)[0]}
 
+    dU = _jacobian(U, s.vars.positions)
     blocks = []
     for k in range(n):
         UV = U @ data.V[:, :, k]
-        mat = expr_array((n, n))
-        for i in range(n):
-            for j in range(n):
-                mat[i, j] = add(_diff(as_expr(U[i, j]), s.vars.positions[k]),
-                                as_expr(UV[i, j]), as_expr(UV[j, i]))
-        blocks.append((k, mat))
+        blocks.append((k, dU[:, :, k] + UV + UV.T))
     out["eq_ecuacion2"] = reduce_residual(blocks, s, batch)[0]
 
     comp = curvature_components(s)

@@ -219,7 +219,7 @@ class Problem:
             raise CliInputError("validation", "variables must be an object",
                                 "variables")
         if spec.get("parameters"):
-            # sampling assigns no values to parameters; require numeric F
+            # a VarSet has no parameters and sampling gives them no values
             raise CliInputError("validation",
                                 "parameters are not supported in problem "
                                 "files; substitute numeric values",

@@ -39,9 +39,9 @@ __all__ = [
 
 FUNCTIONS = ("cos", "exp", "log", "sin", "sqrt")
 
-# entries kept by each bounded memo (`simplify`, `_compile`, `sode._diff`),
-# least recently used dropped first; one CLI task or one checked system
-# reuses a few hundred
+# entries kept by each memo (`simplify`, `_compile`, `sode._diff` and the
+# natjets caches), least recently used dropped first; one CLI task or one
+# checked system reuses a few hundred
 _CACHE_SIZE = 1024
 
 
@@ -348,7 +348,6 @@ class VarSet:
     time: str
     positions: tuple
     velocities: tuple
-    parameters: tuple = ()
 
     def __post_init__(self):
         names = self.names
@@ -362,8 +361,7 @@ class VarSet:
 
     @property
     def names(self):
-        return (self.time,) + tuple(self.positions) + tuple(self.velocities) \
-            + tuple(self.parameters)
+        return (self.time,) + tuple(self.positions) + tuple(self.velocities)
 
     @property
     def n(self):
@@ -384,8 +382,6 @@ class VarSet:
             return "position"
         if name in self.velocities:
             return "velocity"
-        if name in self.parameters:
-            return "parameter"
         raise KeyError(name)
 
 
@@ -960,9 +956,12 @@ def _fail(message):
 _OPCODE = {Add: 0, Mul: 1, Pow: 2, **{f: 3 + k for k, f in enumerate(FUNCTIONS)}}
 _SUM, _PRODUCT = partial(reduce, operator.add), partial(reduce, operator.mul)
 # (load of a variable's value, operation per opcode); sums and products fold
-# one iterable of operands left to right, as `a + b + c` does, or by fsum
-_BATCH = (lambda v: v, (_SUM, _PRODUCT, operator.pow,
-                        np.cos, np.exp, np.log, np.sin, np.sqrt))
+# one iterable of operands left to right, as `a + b + c` does, or by fsum.
+# The batch table loads a lone value as a numpy float, so a single point
+# overflows or divides by zero to inf/nan as a batch does
+_BATCH = (lambda v: v if isinstance(v, np.ndarray) else np.float64(v),
+          (_SUM, _PRODUCT, operator.pow,
+           np.cos, np.exp, np.log, np.sin, np.sqrt))
 _SCALAR = (float, (
     math.fsum, _PRODUCT,
     lambda b, k: _fail("division by zero") if k < 0 and b == 0.0 else b ** k,

@@ -31,12 +31,12 @@ import numpy as np
 
 from .chern import TorsionTensor
 from .expressions import (
-    Expr, ZERO, add, const, evaluate, free_variables, mul, richardson,
-    substitute, var,
+    Expr, ZERO, _CACHE_SIZE, add, const, evaluate, free_variables, mul,
+    richardson, substitute, var,
 )
 from .sode import (
     HALF, QUARTER, JetPoint1, SodeSystem, as_expr, eval_array, expr_array,
-    monomials, numeric_rank, splitting_curvature, worst_abs, _diff,
+    monomials, numeric_rank, splitting_curvature, worst_abs, _diff, _jacobian,
 )
 
 __all__ = [
@@ -100,20 +100,9 @@ class JetSpace:
         return self.base + self.fiber
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def jet_space(vars) -> JetSpace:
     return JetSpace(vars)
-
-
-def _jacobian(X, coords) -> np.ndarray:
-    """The entries of X differentiated along each coordinate, on a new last
-    axis: out[..., c] = d X[...] / d coords[c]."""
-    X = np.asarray(X, dtype=object)
-    out = expr_array(X.shape + (len(coords),))
-    for idx in np.ndindex(X.shape):
-        e = as_expr(X[idx])
-        out[idx] = [_diff(e, name) for name in coords]
-    return out
 
 
 def _total_time(f: Expr, vars) -> Expr:
@@ -190,7 +179,7 @@ def jet2_of(s: SodeSystem, p: JetPoint1) -> SodeJet2:
 # curvature mapping
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def curvature_mapping_exprs(vars):
     """Symbolic y-formulas over the jet coordinates; writing a[i,c] and
     a[i,c,d] for the first and second derivative coordinates of a_i:
@@ -336,7 +325,7 @@ class UJet:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def generic_prolongation(vars):
     """Coefficient expressions of the prolonged field over (jet coordinates,
     u-derivative placeholders): built once by the total-derivative recursion
@@ -434,7 +423,7 @@ def prolong_vertical_field(u, vars) -> ProlongedField:
     return ProlongedField(vars=vars, u=tuple(u), components=comp)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _equivariance_lhs_exprs(vars):
     """Directional derivatives of the y-formulas along the generic prolonged
     field, as expressions over (jet coordinates, u placeholders)."""
@@ -695,7 +684,7 @@ def random_automorphism(vars, seed, scale=Fraction(1, 4)) -> VerticalAutomorphis
 # prolongation of automorphisms and pushed systems
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _prolong1_exprs(auto: VerticalAutomorphism) -> np.ndarray:
     """Symbolic components of the induced 1-jet map
     (t, x, v) -> (t, phi, phi_t + phi_x v)."""
@@ -717,7 +706,7 @@ def prolong1(auto: VerticalAutomorphism, p: JetPoint1) -> JetPoint1:
     return JetPoint1(vals[0], tuple(vals[1:1 + n]), tuple(vals[1 + n:]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _push_value_exprs(auto: VerticalAutomorphism, s: SodeSystem) -> tuple:
     """G^h(t, x, v): the pushed right-hand side composed with the 1-jet map,
     phi_tt + 2 phi_tx v + phi_xx v v + phi_x F."""
@@ -755,7 +744,7 @@ def push_sode_symbolic(auto: VerticalAutomorphism, s: SodeSystem) -> SodeSystem:
     return SodeSystem(vars=vars, F=F)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _chain_rule_exprs(auto: VerticalAutomorphism, s: SodeSystem):
     """The pushed values G and the 1-jet map M with their gradients and
     Hessians over the base coordinates (last axes)."""

@@ -23,7 +23,8 @@ from .expressions import (
 )
 from .sode import (
     HALF, SodeSystem, as_expr, eval_array, expr_array, max_abs,
-    point_batch, sample_points, splitting_curvature, zero_symbolically, _diff,
+    point_batch, sample_points, splitting_curvature, zero_symbolically,
+    _jacobian,
 )
 from .chern import curvature_components
 from .classify import orthogonal_residual, parallel_metric_residual
@@ -139,16 +140,14 @@ def christoffel(metric: MetricField) -> np.ndarray:
     n = metric.n
     m = metric.matrix()
     inv = _inverse(metric)
-    xs = metric.vars.positions
+    dm = _jacobian(m, metric.vars.positions)    # [k, i, j]: dg_{ki}/dx^j
     gamma = expr_array((n, n, n))
     for h in range(n):
         for i in range(n):
             for j in range(i, n):
                 terms = []
                 for k in range(n):
-                    combo = add(_diff(as_expr(m[k, i]), xs[j]),
-                                _diff(as_expr(m[j, k]), xs[i]),
-                                mul(-1, _diff(as_expr(m[j, i]), xs[k])))
+                    combo = add(dm[k, i, j], dm[j, k, i], mul(-1, dm[j, i, k]))
                     terms.append(mul(HALF, inv[h, k], combo))
                 gamma[h, i, j] = gamma[h, j, i] = simplify(add(*terms))
     return gamma
@@ -174,14 +173,13 @@ def riemann_tensor(metric: MetricField) -> np.ndarray:
                 + Gamma^h_{ir} Gamma^r_{jk} - Gamma^h_{jr} Gamma^r_{ik}."""
     n = metric.n
     gamma = christoffel(metric)
-    xs = metric.vars.positions
+    d_gamma = _jacobian(gamma, metric.vars.positions)
     R = expr_array((n, n, n, n))
     for h in range(n):
         for k in range(n):
             for i in range(n):
                 for j in range(n):
-                    terms = [_diff(as_expr(gamma[h, j, k]), xs[i]),
-                             mul(-1, _diff(as_expr(gamma[h, i, k]), xs[j]))]
+                    terms = [d_gamma[h, j, k, i], mul(-1, d_gamma[h, i, k, j])]
                     for r in range(n):
                         terms.append(mul(gamma[h, i, r], gamma[r, j, k]))
                         terms.append(mul(-1, gamma[h, j, r], gamma[r, i, k]))

@@ -16,7 +16,7 @@ from .expressions import (
 )
 from .sode import (
     SodeSystem, max_abs, random_polynomial_sode, sample_points,
-    splitting_curvature, worst_abs, zero_symbolically, _diff,
+    splitting_curvature, worst_abs, zero_symbolically, _jacobian,
 )
 from .chern import (
     curvature_components, curvature_oracle_residual, eigenstructure_residual,
@@ -260,9 +260,7 @@ def _expression_pool(minimum=200):
     for k in range(8):
         s = random_polynomial_sode(2, seed=5000 + k)
         pool.extend(s.F)
-        for f in s.F:
-            for name in s.coords:
-                pool.append(_diff(f, name))
+        pool.extend(_jacobian(s.F, s.coords).flat)
         sc = splitting_curvature(s, check="none")
         comp = curvature_components(s)
         pool.extend(sc.P.reshape(-1))
@@ -271,9 +269,7 @@ def _expression_pool(minimum=200):
     vars = VarSet.default(2)
     sph = geodesic_spray(sphere_metric(vars))
     pool.extend(sph.F)
-    for f in sph.F:
-        for name in sph.coords:
-            pool.append(_diff(f, name))
+    pool.extend(_jacobian(sph.F, sph.coords).flat)
     pool = [e for e in pool if free_variables(e)]
     assert len(pool) >= minimum
     return pool

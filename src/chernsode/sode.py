@@ -193,6 +193,18 @@ def _diff(e: Expr, name: str) -> Expr:
     return diff(e, name)
 
 
+def _jacobian(X, coords) -> np.ndarray:
+    """The entries of X differentiated along each coordinate, on a new last
+    axis: out[..., c] = d X[...] / d coords[c].  Every array of partials
+    (of F, P, T, a metric, Gamma) is built by this one loop."""
+    X = np.asarray(X, dtype=object)
+    out = expr_array(X.shape + (len(coords),))
+    for idx in np.ndindex(X.shape):
+        e = as_expr(X[idx])
+        out[idx] = [_diff(e, name) for name in coords]
+    return out
+
+
 def directional(field, coords, f: Expr) -> Expr:
     """Derivative of f along a coordinate vector field (object array)."""
     return add(*[mul(field[c], _diff(f, name)) for c, name in enumerate(coords)])
@@ -334,31 +346,6 @@ def zero_symbolically(e: Expr) -> bool:
     return simplify(e) == ZERO
 
 
-# --------------------------------------------------------------------------
-# jets of F (cached partials)
-# --------------------------------------------------------------------------
-
-def f_v(s: SodeSystem, i, j) -> Expr:
-    return _diff(s.F[i], s.vars.velocities[j])
-
-
-def f_x(s: SodeSystem, i, j) -> Expr:
-    return _diff(s.F[i], s.vars.positions[j])
-
-
-def f_vv(s: SodeSystem, i, j, k) -> Expr:
-    return _diff(f_v(s, i, j), s.vars.velocities[k])
-
-
-def f_xv(s: SodeSystem, i, a, b) -> Expr:
-    """d^2 F^i / dx^a dv^b."""
-    return _diff(f_x(s, i, a), s.vars.velocities[b])
-
-
-def f_vvv(s: SodeSystem, i, a, b, c) -> Expr:
-    return _diff(f_vv(s, i, a, b), s.vars.velocities[c])
-
-
 def flow_derivative(s: SodeSystem, f: Expr) -> Expr:
     """Derivative along the dynamical flow: d/dt + v^i d/dx^i + F^i d/dv^i."""
     terms = [_diff(f, s.vars.time)]
@@ -388,10 +375,9 @@ def frame_symbolic(s: SodeSystem) -> np.ndarray:
     n = s.n
     M = expr_array((2 * n + 1, 2 * n + 1))
     M[:, 0] = dynamical_flow(s)
+    M[1 + n:, 1:1 + n] = HALF * _jacobian(s.F, s.vars.velocities)
     for i in range(n):
         M[1 + i, 1 + i] = const(1)
-        for j in range(n):
-            M[1 + n + j, 1 + i] = mul(HALF, f_v(s, j, i))
         M[1 + n + i, 1 + n + i] = const(1)
     return M
 
@@ -400,16 +386,16 @@ def coframe_symbolic(s: SodeSystem) -> np.ndarray:
     """Rows: dt, omega^i = dx^i - v^i dt,
     varpi^i = dv^i - F^i dt - (1/2)(dF^i/dv^j)(dx^j - v^j dt)."""
     n = s.n
+    Fv = _jacobian(s.F, s.vars.velocities)
     M = expr_array((2 * n + 1, 2 * n + 1))
     M[0, 0] = const(1)
+    M[1 + n:, 1:1 + n] = -HALF * Fv
     for i in range(n):
         M[1 + i, 0] = mul(-1, var(s.vars.velocities[i]))
         M[1 + i, 1 + i] = const(1)
-        wv = add(*[mul(HALF, f_v(s, i, j), var(s.vars.velocities[j]))
+        wv = add(*[mul(HALF, Fv[i, j], var(s.vars.velocities[j]))
                    for j in range(n)])
         M[1 + n + i, 0] = add(mul(-1, s.F[i]), wv)
-        for j in range(n):
-            M[1 + n + i, 1 + j] = mul(-HALF, f_v(s, i, j))
         M[1 + n + i, 1 + n + i] = const(1)
     return M
 
@@ -426,17 +412,17 @@ def lie_derivative_J(s: SodeSystem) -> np.ndarray:
     """Coordinate-basis matrix of the Lie derivative of the fundamental
     tensor J = omega^i (x) d/dv^i along the dynamical flow."""
     n = s.n
+    Fv = _jacobian(s.F, s.vars.velocities)
     M = expr_array((2 * n + 1, 2 * n + 1))
+    M[1 + n:, 1:1 + n] = -Fv
     for i in range(n):
         # -(dx^i - v^i dt) (x) d/dx^i
         M[1 + i, 0] = var(s.vars.velocities[i])
         M[1 + i, 1 + i] = const(-1)
     for j in range(n):
         row = 1 + n + j
-        M[row, 0] = add(*[mul(var(s.vars.velocities[i]), f_v(s, j, i))
+        M[row, 0] = add(*[mul(var(s.vars.velocities[i]), Fv[j, i])
                           for i in range(n)], mul(-1, s.F[j]))
-        for i in range(n):
-            M[row, 1 + i] = mul(-1, f_v(s, j, i))
         M[row, row] = const(1)
     return M
 
@@ -474,13 +460,14 @@ def endomorphism_E(s: SodeSystem) -> np.ndarray:
 def splitting_P(s: SodeSystem) -> np.ndarray:
     """P^i_j = (1/2) X(dF^i/dv^j) - dF^i/dx^j - (1/4)(dF^k/dv^j)(dF^i/dv^k)."""
     n = s.n
+    Fv = _jacobian(s.F, s.vars.velocities)
+    Fx = _jacobian(s.F, s.vars.positions)
     P = expr_array((n, n))
     for i in range(n):
         for j in range(n):
-            quad = [mul(QUARTER, f_v(s, k, j), f_v(s, i, k)) for k in range(n)]
-            P[i, j] = add(mul(HALF, flow_derivative(s, f_v(s, i, j))),
-                          mul(-1, f_x(s, i, j)),
-                          *[mul(-1, q) for q in quad])
+            P[i, j] = add(mul(HALF, flow_derivative(s, Fv[i, j])),
+                          mul(-1, Fx[i, j]),
+                          *[mul(-QUARTER, Fv[k, j], Fv[i, k]) for k in range(n)])
     return P
 
 
@@ -488,16 +475,20 @@ def splitting_T(s: SodeSystem) -> np.ndarray:
     """T^k_{ij}: antisymmetrised mixed second derivatives plus the quadratic
     first-derivative correction."""
     n = s.n
+    vels = s.vars.velocities
+    Fv = _jacobian(s.F, vels)
+    Fvv = _jacobian(Fv, vels)
+    Fxv = _jacobian(_jacobian(s.F, s.vars.positions), vels)
     T = expr_array((n, n, n))
     for k in range(n):
         for i in range(n):
             for j in range(i + 1, n):
                 quad = []
                 for h in range(n):
-                    quad.append(mul(QUARTER, f_v(s, h, i), f_vv(s, k, h, j)))
-                    quad.append(mul(-QUARTER, f_v(s, h, j), f_vv(s, k, h, i)))
-                val = add(mul(HALF, f_xv(s, k, i, j)),
-                          mul(-HALF, f_xv(s, k, j, i)), *quad)
+                    quad.append(mul(QUARTER, Fv[h, i], Fvv[k, h, j]))
+                    quad.append(mul(-QUARTER, Fv[h, j], Fvv[k, h, i]))
+                val = add(mul(HALF, Fxv[k, i, j]),
+                          mul(-HALF, Fxv[k, j, i]), *quad)
                 T[k, i, j] = val
                 T[k, j, i] = mul(-1, val)
     return T
@@ -515,6 +506,7 @@ def splitting_curvature(s: SodeSystem, check="numeric", points=None,
     P, T = splitting_P(s), splitting_T(s)
     if check != "none":
         coords = s.coords
+        Fv = _jacobian(s.F, s.vars.velocities)
         frame = frame_symbolic(s)
         X_sigma = frame[:, 0]
         X_cols = [frame[:, 1 + i] for i in range(n)]
@@ -523,7 +515,7 @@ def splitting_curvature(s: SodeSystem, check="numeric", points=None,
             b = bracket(X_sigma, X_cols[j], coords)
             expected = expr_array(2 * n + 1)
             for k in range(n):
-                coef = mul(-HALF, f_v(s, k, j))
+                coef = mul(-HALF, Fv[k, j])
                 for r in range(2 * n + 1):
                     expected[r] = add(expected[r], mul(coef, X_cols[k][r]))
                 expected[1 + n + k] = add(expected[1 + n + k], P[k, j])
