@@ -40,7 +40,7 @@ from .classify import (
 )
 from .natjets import (
     MissingInverse, VerticalAutomorphism, curvature_kernel_dim,
-    distribution_span, infinitesimal_equivariance, prolong1,
+    distribution_span, infinitesimal_equivariance, jet2_of, prolong1,
     push_sode_symbolic, push_sode_value, random_polynomial_field,
     verify_functoriality,
 )
@@ -506,7 +506,13 @@ def task_jets(problem: Problem) -> dict:
     s, pts = problem.system, problem.points
     n = s.n
     p = pts[0]
-    rank, svals = distribution_span(n, s, p, seed=2024)
+    try:
+        rank, svals = distribution_span(n, s, p, seed=2024)
+    except np.linalg.LinAlgError:       # the SVD of a non-finite span
+        if math.isfinite(worst_abs(jet2_of(s, p).row)):
+            raise
+        raise CliInputError("LinAlgError", "the 2-jet of F is not finite "
+                            "at this sample", "samples.points[0]") from None
     expected = 11 if n == 1 else n * (3 * n * n + 11 * n + 10) // 2
     gap = float(svals[expected - 1] / svals[expected]) \
         if len(svals) > expected and svals[expected] > 0 else float(1e18)

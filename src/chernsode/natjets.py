@@ -31,12 +31,13 @@ import numpy as np
 
 from .chern import TorsionTensor
 from .expressions import (
-    Expr, ZERO, _CACHE_SIZE, add, const, evaluate, free_variables, mul,
+    Expr, ONE, ZERO, _CACHE_SIZE, add, const, evaluate, free_variables, mul,
     richardson, substitute, var,
 )
 from .sode import (
-    HALF, QUARTER, JetPoint1, SodeSystem, as_expr, eval_array, expr_array,
-    monomials, numeric_rank, splitting_curvature, worst_abs, _diff, _jacobian,
+    HALF, QUARTER, JetPoint1, SodeSystem, as_expr, directional, eval_array,
+    expr_array, monomials, numeric_rank, splitting_curvature, worst_abs, _diff,
+    _jacobian,
 )
 
 __all__ = [
@@ -107,6 +108,7 @@ def jet_space(vars) -> JetSpace:
 
 def _total_time(f: Expr, vars) -> Expr:
     """Total time derivative d/dt f + v^i d/dx^i f of f(t, x)."""
+    # not `directional`, which would give mul(v, df) for this mul(df, v)
     return add(_diff(f, vars.time),
                *[mul(_diff(f, x), var(v))
                  for x, v in zip(vars.positions, vars.velocities)])
@@ -343,16 +345,16 @@ def generic_prolongation(vars):
         """Total derivative: base partial + jet chain + placeholder chain.
         Placeholders iterated in sorted order so the term order (and hence
         float rounding downstream) is independent of hash seeding."""
-        terms = [_diff(f, d)]
+        coords, field = [d], [ONE]
         for i in range(n):
-            terms.append(mul(var(js.first[(i, d)]), _diff(f, js.values[i])))
-            for e in js.dirs:
-                terms.append(mul(var(js.second_name(i, e, d)),
-                                 _diff(f, js.first[(i, e)])))
+            coords += [js.values[i], *[js.first[(i, e)] for e in js.dirs]]
+            field += [var(js.first[(i, d)]),
+                      *[var(js.second_name(i, e, d)) for e in js.dirs]]
         for name in sorted(free_variables(f)):
-            if name in ujet.chain and d in ujet.chain[name]:
-                terms.append(mul(var(ujet.chain[name][d]), _diff(f, name)))
-        return add(*terms)
+            if d in ujet.chain.get(name, ()):
+                coords.append(name)
+                field.append(var(ujet.chain[name][d]))
+        return directional(field, coords, f)
 
     comp = {}
     u = [ujet.placeholder(i) for i in range(n)]
@@ -431,16 +433,10 @@ def _equivariance_lhs_exprs(vars):
     ujet, generic = generic_prolongation(vars)
     y_P, y_T = curvature_mapping_exprs(vars)
 
+    field = [generic.get(name, ZERO) for name in js.all_coords]
+
     def field_apply(y):
-        terms = []
-        for name in js.all_coords:
-            cf = generic.get(name)
-            if cf is None or cf is ZERO:
-                continue
-            dy = _diff(as_expr(y), name)
-            if dy is not ZERO:
-                terms.append(mul(cf, dy))
-        return add(*terms)
+        return directional(field, js.all_coords, as_expr(y))
 
     n = js.n
     lhs_P = expr_array((n, n))
@@ -889,5 +885,8 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
         t_conj = np.einsum("mk,kab,ac,bd->mcd", jx, T_here, jx_inv, jx_inv)
         deltas["curvature_equivariance"] += [P_push - conj, T_push - t_conj]
 
-        deltas["kosambi_match"].append(np.poly(-P_here) - np.poly(-P_push))
+        # np.poly refuses a non-finite matrix; the match then reads NaN
+        finite = np.isfinite(P_here).all() and np.isfinite(P_push).all()
+        deltas["kosambi_match"].append(
+            np.poly(-P_here) - np.poly(-P_push) if finite else np.nan)
     return {key: worst_abs(*arrays) for key, arrays in deltas.items()}

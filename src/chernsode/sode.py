@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expressions import (
-    Expr, VarSet, ZERO, _CACHE_SIZE, add, compile_expr, const, diff,
+    Expr, ONE, VarSet, ZERO, _CACHE_SIZE, add, compile_expr, const, diff,
     free_variables, mul, run_programs, simplify, var,
 )
 
@@ -206,8 +206,10 @@ def _jacobian(X, coords) -> np.ndarray:
 
 
 def directional(field, coords, f: Expr) -> Expr:
-    """Derivative of f along a coordinate vector field (object array)."""
-    return add(*[mul(field[c], _diff(f, name)) for c, name in enumerate(coords)])
+    """Derivative sum_c field[c] df/dcoords[c] of f along a coordinate vector
+    field, in coordinate order; a component that `is ZERO` costs no `_diff`."""
+    return add(*[mul(field[c], _diff(f, name)) for c, name in enumerate(coords)
+                 if field[c] is not ZERO])
 
 
 def bracket(X, Y, coords) -> np.ndarray:
@@ -347,12 +349,12 @@ def zero_symbolically(e: Expr) -> bool:
 
 
 def flow_derivative(s: SodeSystem, f: Expr) -> Expr:
-    """Derivative along the dynamical flow: d/dt + v^i d/dx^i + F^i d/dv^i."""
-    terms = [_diff(f, s.vars.time)]
-    for i in range(s.n):
-        terms.append(mul(var(s.vars.velocities[i]), _diff(f, s.vars.positions[i])))
-        terms.append(mul(s.F[i], _diff(f, s.vars.velocities[i])))
-    return add(*terms)
+    """Derivative along the dynamical flow: d/dt + v^i d/dx^i + F^i d/dv^i,
+    the two terms of each i adjacent."""
+    vs = s.vars
+    coords = [vs.time, *chain(*zip(vs.positions, vs.velocities))]
+    field = [ONE, *chain(*zip(map(var, vs.velocities), s.F))]
+    return directional(field, coords, f)
 
 
 # --------------------------------------------------------------------------
