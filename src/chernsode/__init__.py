@@ -23,9 +23,9 @@ from .classify import (
 )
 from .natjets import (
     CurvatureValue, MissingInverse, ProlongedField, SodeJet2,
-    VerticalAutomorphism, curvature_mapping, distribution_rank,
-    infinitesimal_equivariance, jet2_of, prolong1, prolong_vertical_field,
-    push_sode_symbolic, push_sode_value, verify_functoriality,
+    VerticalAutomorphism, curvature_mapping, infinitesimal_equivariance,
+    jet2_of, prolong1, prolong_vertical_field, push_sode_symbolic,
+    push_sode_value, verify_functoriality,
 )
 from .riemann import (
     MetricField, SingularMetric, christoffel, cross_check, geodesic_spray,

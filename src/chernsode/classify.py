@@ -3,15 +3,17 @@
 Covers the three special-coordinate condition sets (first-degree in the
 velocities / velocity-free / flat), the holonomy span rank, the traceless
 (unimodular) divergence test, residuals of the orthogonal-holonomy system,
-the Kosambi endomorphism with its characteristic polynomial, and the
-first-prolongation nullity of the structure-group algebra.
+the Kosambi endomorphism with its characteristic polynomial (whose
+coefficients are sums of principal minors of P, expanded by the one symbolic
+determinant `sode._det`), and the first-prolongation nullity of the
+structure-group algebra.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .chern import (
 from .sode import (
     JetPoint1, SodeSystem, as_expr, eval_array, expr_array, flow_derivative,
     numeric_rank, point_batch, reduce_residual, sample_points,
-    splitting_curvature, worst_abs, zero_symbolically, _jacobian,
+    splitting_curvature, worst_abs, zero_symbolically, _det, _jacobian,
 )
 
 __all__ = [
@@ -299,29 +301,17 @@ def parallel_metric_residual(s: SodeSystem, U, points) -> float:
 # --------------------------------------------------------------------------
 
 def kosambi_invariants(s: SodeSystem) -> KosambiData:
-    """Ktilde = -P and char-poly coefficients via Faddeev-LeVerrier,
-    det(lambda I - Ktilde) listed from lambda^n down."""
+    """Ktilde = -P and the coefficients of det(lambda I - Ktilde) =
+    det(lambda I + P), listed from lambda^n down: c_k is the sum of the k x k
+    principal minors of P, each expanded by `sode._det`."""
     n = s.n
     P = splitting_curvature(s, check="none").P
-    K = expr_array((n, n))
-    for idx in np.ndindex((n, n)):
-        K[idx] = mul(-1, as_expr(P[idx]))
-    coeffs = [const(1)]
-    M = expr_array((n, n))
-    for i in range(n):
-        M[i, i] = const(1)
-    Mk = M
+    charpoly = [const(1)]
     for k in range(1, n + 1):
-        if k > 1:
-            shifted = np.array(Mk, dtype=object, copy=True)
-            for i in range(n):
-                shifted[i, i] = add(shifted[i, i], coeffs[-1])
-            Mk = K @ shifted
-        else:
-            Mk = K @ Mk
-        trace = add(*[as_expr(Mk[i, i]) for i in range(n)])
-        coeffs.append(simplify(mul(const(Fraction(-1, k)), trace)))
-    return KosambiData(Ktilde=K, charpoly=tuple(coeffs))
+        minors = [_det([[P[i, j] for j in S] for i in S])
+                  for S in combinations(range(n), k)]
+        charpoly.append(simplify(add(*minors)))
+    return KosambiData(Ktilde=-P, charpoly=tuple(charpoly))
 
 
 # --------------------------------------------------------------------------

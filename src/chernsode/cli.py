@@ -343,7 +343,13 @@ class Problem:
             raise CliInputError("validation",
                                 "samples.count must be at least 1",
                                 "samples.count")
-        return sample_points(self.vars, count, seed, self.box)
+        # the box is checked above, so numpy's MemoryError or its ValueError
+        # for an array too big to describe can only mean too many points
+        try:
+            return sample_points(self.vars, count, seed, self.box)
+        except (MemoryError, ValueError):
+            raise CliInputError("validation", f"samples.count {count} is too "
+                                "large to sample", "samples.count") from None
 
 
 # --------------------------------------------------------------------------
@@ -639,8 +645,9 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, ZeroDivisionError, SingularMetric,
             NotPositiveDefinite, MissingInverse, OracleMismatch,
-            ValueError) as exc:
+            ValueError, MemoryError) as exc:
         kind = "DomainError" if isinstance(exc, ZeroDivisionError) \
+            else "MemoryError" if isinstance(exc, MemoryError) \
             else type(exc).__name__
         sys.stdout.write(serialize_report(
             {"error": {"kind": kind, "message": str(exc), "location": None}}))

@@ -45,7 +45,7 @@ __all__ = [
     "JetSpace", "MissingInverse", "prolong1", "push_sode_value",
     "push_sode_symbolic", "pushed_jet2", "verify_functoriality",
     "curvature_mapping", "jet2_of", "prolong_vertical_field",
-    "infinitesimal_equivariance", "distribution_rank", "compose",
+    "infinitesimal_equivariance", "compose",
     "random_automorphism", "curvature_kernel_dim",
 ]
 
@@ -534,12 +534,6 @@ def distribution_span(n, s: SodeSystem, p: JetPoint1, sample_count=None,
     if sample_count is None:
         sample_count = len(order) + 10
     return _field_jet_span(s, p, order, sample_count, seed, degree)
-
-
-def distribution_rank(n, s: SodeSystem, p: JetPoint1, sample_count=None,
-                      seed=2024) -> int:
-    rank, _ = distribution_span(n, s, p, sample_count, seed)
-    return rank
 
 
 def order0_distribution_rank(n, s: SodeSystem, p: JetPoint1,

@@ -13,18 +13,16 @@ jet space attached to a Riemannian g: the definite one built from
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expressions import (
-    Expr, add, call, const, free_variables, mul, pow_, simplify, var,
+    add, call, const, free_variables, mul, pow_, simplify, var,
 )
 from .sode import (
-    HALF, SodeSystem, as_expr, eval_array, expr_array, max_abs,
-    point_batch, sample_points, splitting_curvature, zero_symbolically,
-    _jacobian,
+    HALF, SodeSystem, eval_array, expr_array, max_abs, point_batch,
+    sample_points, splitting_curvature, zero_symbolically, _det, _jacobian,
 )
 from .chern import curvature_components
 from .classify import orthogonal_residual, parallel_metric_residual
@@ -98,19 +96,6 @@ def sphere_metric(vars) -> MetricField:
 # metric inverse, Christoffel symbols, spray
 # --------------------------------------------------------------------------
 
-def _det(m) -> Expr:
-    n = len(m)
-    out = []
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        out.append(mul(const(sign), *[as_expr(m[i][perm[i]]) for i in range(n)]))
-    return add(*out)
-
-
 def _inverse(metric: MetricField):
     """Adjugate / determinant; supported for n <= 3 (the symbolic sizes the
     CLI exercises); raises SingularMetric when det simplifies to zero."""
@@ -122,9 +107,6 @@ def _inverse(metric: MetricField):
     if zero_symbolically(det):
         raise SingularMetric("metric determinant is identically zero")
     inv = expr_array((n, n))
-    if n == 1:
-        inv[0, 0] = mul(const(1), pow_(det, -1))
-        return inv
     for i in range(n):
         for j in range(n):
             minor = [[m[r][c] for c in range(n) if c != j]

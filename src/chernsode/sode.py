@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -186,6 +186,23 @@ def expr_array(shape) -> np.ndarray:
     out = np.empty(shape, dtype=object)
     out[...] = ZERO
     return out
+
+
+def _det(m) -> Expr:
+    """Leibniz expansion of the determinant of a square matrix of Expr (a
+    list of rows or a 2-d object array); the empty matrix gives ONE.  The
+    one symbolic determinant: the metric inverse's adjugate and the Kosambi
+    principal minors."""
+    n = len(m)
+    out = []
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        out.append(mul(const(sign), *[as_expr(m[i][perm[i]]) for i in range(n)]))
+    return add(*out)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
