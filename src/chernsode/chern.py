@@ -8,16 +8,25 @@ structure equations in the adapted frame, Tor_ab = Gamma_ab - Gamma_ba - C_ab
 and R_abc = e_a Gamma_bc - e_b Gamma_ac + Gamma_bc.Gamma_a - Gamma_ac.Gamma_b
 - C_ab.Gamma_c, from Gamma[a, c, b], its frame derivatives and the structure
 functions C_ab^d = theta^d([e_a, e_b]), never from the closed formulas.
+
+Each system has one `Connection` (`connection(s)`): the frame and coframe,
+Gamma, (P, T), (A, B, R), the structure functions and the torsion and
+curvature arrays, each built on first use and frozen, so the oracles of one
+`verify` share them.  The characterization checks the frame components of
+the flow, of L_X J and of the swap E against the constants that the paper's
+construction gives them (`constant_frames`), without simplifying.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .expressions import ZERO, add, mul, simplify
+from .expressions import ZERO, Const, add, const, mul, simplify
 from .sode import (
     HALF, SodeSystem, as_expr, bracket, check_residual, coframe_symbolic,
     directional, endomorphism_E, eval_array, expr_array, frame_symbolic,
@@ -26,8 +35,9 @@ from .sode import (
 )
 
 __all__ = [
-    "ConnectionData", "CurvatureComponents", "TorsionTensor",
-    "connection_data", "covariant_derivative", "torsion", "curvature",
+    "Connection", "ConnectionData", "CurvatureComponents", "TorsionTensor",
+    "connection", "connection_data", "covariant_derivative", "torsion",
+    "curvature",
     "verify_characterization", "verify_structure_identities",
 ]
 
@@ -84,6 +94,79 @@ class CurvatureComponents:
     R: np.ndarray
 
 
+def _frozen(*arrays):
+    """Make the arrays read-only in place; returns the first."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0]
+
+
+class Connection:
+    """The symbolic arrays of one system's Chern connection.  Each field is
+    built on first use by the module-level builder of its name (so a patched
+    builder is seen) and frozen read-only; the builders themselves keep
+    returning fresh arrays.  The system is held weakly: its instance dict
+    holds the connection (`connection`), which goes with it."""
+
+    def __init__(self, s: SodeSystem):
+        self._system = weakref.ref(s)
+
+    @property
+    def system(self) -> SodeSystem:
+        s = self._system()
+        if s is None:
+            raise ReferenceError("the system of this connection is gone")
+        return s
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        return _frozen(frame_symbolic(self.system))
+
+    @cached_property
+    def coframe(self) -> np.ndarray:
+        return _frozen(coframe_symbolic(self.system))
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Gamma[a, c, b] of `frame_christoffels` without a shift."""
+        return _frozen(frame_christoffels(self.system))
+
+    @cached_property
+    def torsion(self) -> TorsionTensor:
+        """The closed torsion blocks (P, T) of the splitting curvature."""
+        sc = splitting_curvature(self.system, check="none")
+        _frozen(sc.P, sc.T)
+        return TorsionTensor(P=sc.P, T=sc.T)
+
+    @cached_property
+    def curvature(self) -> CurvatureComponents:
+        """The closed curvature table (A, B, R)."""
+        comp = curvature_components(self.system)
+        _frozen(comp.A, comp.B, comp.R)
+        return comp
+
+    @cached_property
+    def structure_functions(self) -> np.ndarray:
+        return _frozen(_structure_functions(self.system))
+
+    @cached_property
+    def torsion_array(self) -> np.ndarray:
+        return _frozen(_torsion_array(self.system, self.gamma))
+
+    @cached_property
+    def curvature_array(self) -> np.ndarray:
+        return _frozen(_curvature_array(self.system, self.gamma))
+
+
+def connection(s: SodeSystem) -> Connection:
+    """The one Connection of the system object `s`, kept in its instance
+    dict; an equal but distinct system has its own."""
+    fields = vars(s)
+    if "_connection" not in fields:
+        fields["_connection"] = Connection(s)
+    return fields["_connection"]
+
+
 # --------------------------------------------------------------------------
 # connection coefficients
 # --------------------------------------------------------------------------
@@ -117,24 +200,31 @@ def _frame_covariant(s: SodeSystem, gamma, S, slots, a) -> np.ndarray:
     """Adapted-frame components of D_{e_a} S for a tensor S with one slot
     letter per axis: "u" (upper) adds S[..d..] Gamma[a, d, idx] and "l"
     (lower) adds -Gamma[a, idx, d] S[..d..].  The directional term
-    e_a(S[idx]) comes first, then the slots in axis order, d ascending."""
+    e_a(S[idx]) comes first, then the slots in axis order, d ascending; a
+    term that would fold to ZERO (the directional term of a Const entry, a
+    product with a ZERO factor) is not built."""
     S = np.asarray(S, dtype=object)
-    field = frame_symbolic(s)[:, a]
+    field = connection(s).frame[:, a]
     out = expr_array(S.shape)
     for idx in np.ndindex(S.shape):
-        terms = [directional(field, s.coords, as_expr(S[idx]))]
+        entry = as_expr(S[idx])
+        terms = [] if isinstance(entry, Const) \
+            else [directional(field, s.coords, entry)]
         for axis, slot in enumerate(slots):
             for d in range(S.shape[axis]):
                 other = as_expr(S[idx[:axis] + (d,) + idx[axis + 1:]])
-                terms.append(mul(other, gamma[a, d, idx[axis]]) if slot == "u"
-                             else mul(-1, gamma[a, idx[axis], d], other))
+                g = gamma[a, d, idx[axis]] if slot == "u" \
+                    else gamma[a, idx[axis], d]
+                if other is not ZERO and g is not ZERO:
+                    terms.append(mul(other, g) if slot == "u"
+                                 else mul(-1, g, other))
         out[idx] = add(*terms)
     return out
 
 
 def _simplified(S) -> np.ndarray:
-    """S with every entry simplified: constant frame components fold to
-    Const, whose frame derivatives are ZERO."""
+    """S with every entry simplified: the symbolic certificate that the
+    frame components of `constant_frames` fold to those constants."""
     out = expr_array(S.shape)
     for idx in np.ndindex(out.shape):
         out[idx] = simplify(as_expr(S[idx]))
@@ -145,7 +235,7 @@ def covariant_derivative(s: SodeSystem, X, Y, gamma=None) -> np.ndarray:
     """D_X Y = sum_a X^a D_{e_a} Y for X, Y in adapted-frame components with
     Expr coefficients."""
     if gamma is None:
-        gamma = frame_christoffels(s)
+        gamma = connection(s).gamma
     parts = [(xa, _frame_covariant(s, gamma, Y, "u", a))
              for a, xa in enumerate(map(as_expr, X)) if xa is not ZERO]
     out = expr_array(2 * s.n + 1)
@@ -167,7 +257,8 @@ def _unit(n2, a):
 def _structure_functions(s: SodeSystem) -> np.ndarray:
     """C[a, b, d] = theta^d([e_a, e_b]) for a < b, one frame bracket per pair."""
     n2 = 2 * s.n + 1
-    frame, coframe = frame_symbolic(s), coframe_symbolic(s)
+    conn = connection(s)
+    frame, coframe = conn.frame, conn.coframe
     C = expr_array((n2, n2, n2))
     for a, b in combinations(range(n2), 2):
         C[a, b] = coframe @ bracket(frame[:, a], frame[:, b], s.coords)
@@ -177,16 +268,19 @@ def _structure_functions(s: SodeSystem) -> np.ndarray:
 def _torsion_array(s: SodeSystem, gamma) -> np.ndarray:
     """Tor[a, b] = Tor(e_a, e_b) = Gamma_ab - Gamma_ba - C_ab for a < b."""
     n2 = gamma.shape[0]
-    C = _structure_functions(s)
+    C = connection(s).structure_functions
     tor = expr_array((n2, n2, n2))
     for a, b in combinations(range(n2), 2):
         tor[a, b] = gamma[a, b] - gamma[b, a] - C[a, b]
     return tor
 
 
-def _torsion_deltas(s: SodeSystem, tensor: TorsionTensor, gamma) -> list:
-    """(label, Tor(e_a, e_b) - closed torsion blocks) for every frame pair."""
-    tor, n2 = _torsion_array(s, gamma), len(gamma)
+def _torsion_deltas(s: SodeSystem, tensor: TorsionTensor, gamma=None) -> list:
+    """(label, Tor(e_a, e_b) - closed torsion blocks) for every frame pair,
+    with the connection's torsion array unless another Gamma is given."""
+    tor = connection(s).torsion_array if gamma is None \
+        else _torsion_array(s, gamma)
+    n2 = len(tor)
     return [(f"torsion oracle pair ({a},{b})",
              tor[a, b] - tensor.apply(_unit(n2, a), _unit(n2, b)))
             for a, b in combinations(range(n2), 2)]
@@ -194,8 +288,9 @@ def _torsion_deltas(s: SodeSystem, tensor: TorsionTensor, gamma) -> list:
 
 def torsion_definition(s: SodeSystem, a, b, gamma=None) -> np.ndarray:
     """Tor(e_a, e_b) by the first structure equation."""
-    tor = _torsion_array(s, frame_christoffels(s) if gamma is None else gamma)
-    return tor[a, b] if a < b else -tor[b, a]
+    tor = connection(s).torsion_array if gamma is None \
+        else _torsion_array(s, gamma)
+    return tor[a, b].copy() if a < b else -tor[b, a]
 
 
 def torsion(s: SodeSystem, check="numeric", points=None, tol=1e-10,
@@ -206,8 +301,8 @@ def torsion(s: SodeSystem, check="numeric", points=None, tol=1e-10,
     sc = splitting_curvature(s, check="none")
     tensor = TorsionTensor(P=sc.P, T=sc.T)
     if check != "none":
-        check_residual(_torsion_deltas(s, tensor, frame_christoffels(s)),
-                       s, check, points, tol, seed)
+        check_residual(_torsion_deltas(s, tensor), s, check, points, tol,
+                       seed)
     return tensor
 
 
@@ -228,8 +323,8 @@ def _curvature_array(s: SodeSystem, gamma) -> np.ndarray:
     """R[a, b, c] = R(e_a, e_b)e_c for a < b, grouped as D_a D_b e_c
     - D_b D_a e_c - D_[e_a, e_b] e_c, D_a D_b e_c = e_a Gamma_bc + Gamma_bc.Gamma_a."""
     n2 = gamma.shape[0]
-    C = _structure_functions(s)
-    frame = frame_symbolic(s)
+    conn = connection(s)
+    C, frame = conn.structure_functions, conn.frame
     d_gamma = expr_array((n2,) * 4)     # [a, b, c, d]: e_a(Gamma[b, c, d])
     for idx in np.ndindex(gamma.shape):
         if gamma[idx] is not ZERO:
@@ -247,7 +342,7 @@ def _curvature_array(s: SodeSystem, gamma) -> np.ndarray:
 
 def _curvature_deltas(s: SodeSystem, comp) -> list:
     """(label, R(e_a, e_b)e_c - table) per frame triple, zero blocks included."""
-    R = _curvature_array(s, frame_christoffels(s))
+    R = connection(s).curvature_array
     return [(f"curvature oracle ({a},{b};{c})",
              R[a, b, c] - _expected_curvature(comp, s.n, a, b, c))
             for a, b in combinations(range(len(R)), 2) for c in range(len(R))]
@@ -255,8 +350,9 @@ def _curvature_deltas(s: SodeSystem, comp) -> list:
 
 def curvature_components(s: SodeSystem) -> CurvatureComponents:
     """A^h_{kj} = (1/2)(T^h_{jk} - dP^h_k/dv^j - dP^h_j/dv^k),
-    B^h_{ijk} = -dT^h_{ij}/dv^k and R^h_{ijk} = (1/2) d3F^h/dv^i dv^j dv^k."""
-    sc = splitting_curvature(s, check="none")
+    B^h_{ijk} = -dT^h_{ij}/dv^k and R^h_{ijk} = (1/2) d3F^h/dv^i dv^j dv^k,
+    from the connection's (P, T)."""
+    sc = connection(s).torsion
     vels = s.vars.velocities
     dP = _jacobian(sc.P, vels)
     Fvv = _jacobian(_jacobian(s.F, vels), vels)
@@ -268,8 +364,9 @@ def curvature_components(s: SodeSystem) -> CurvatureComponents:
 
 def curvature_definition(s: SodeSystem, a, b, c, gamma=None) -> np.ndarray:
     """R(e_a, e_b)e_c by the second structure equation."""
-    R = _curvature_array(s, frame_christoffels(s) if gamma is None else gamma)
-    return R[a, b, c] if a < b else -R[b, a, c]
+    R = connection(s).curvature_array if gamma is None \
+        else _curvature_array(s, gamma)
+    return R[a, b, c].copy() if a < b else -R[b, a, c]
 
 
 def _expected_curvature(comp: CurvatureComponents, n, a, b, c):
@@ -303,37 +400,52 @@ def curvature(s: SodeSystem, check="numeric", points=None, tol=1e-10,
 # identity suites
 # --------------------------------------------------------------------------
 
+def constant_frames(n) -> tuple:
+    """The adapted-frame components that the construction makes constant,
+    as the Const nodes `simplify` folds them to: theta.X = e_0,
+    theta.L_X J.e = diag(0, -I, I) and theta.E.e = the swap of the two
+    n-blocks."""
+    n2 = 2 * n + 1
+    flow, lxj, swap = expr_array(n2), expr_array((n2, n2)), expr_array((n2, n2))
+    flow[0] = const(1)
+    for i in range(n):
+        lxj[1 + i, 1 + i], lxj[1 + n + i, 1 + n + i] = const(-1), const(1)
+        swap[1 + i, 1 + n + i] = swap[1 + n + i, 1 + i] = const(1)
+    return flow, lxj, swap
+
+
 def verify_characterization(s: SodeSystem, points, w_shift=0) -> dict:
     """Residuals of the four defining properties of the connection:
     (1) the dynamical flow is parallel, (2) the eigenstructure endomorphism
     L_X J is parallel, (3) the swap endomorphism is parallel, (4) the torsion
     equals the prescribed tensor.  `w_shift` perturbs the connection (for
-    uniqueness checks the residual of (4) must then blow up).
+    uniqueness checks the residual of (4) must then blow up); the shifted
+    Gamma is built for this call only.
 
-    For (1)-(3) the frame components S are simplified once: they are the
-    constants e_0, diag(0, -I, I) and the block swap, so D_{e_a}S reduces to
-    its Gamma terms, and an entry that does not simplify to a constant is
-    still differentiated.  Each residual also takes in the certificate
-    S - simplify(S) on the same points, which keeps it NaN wherever S is not
-    finite."""
+    For (1)-(3) the frame components S are, by construction, the constants
+    of `constant_frames`, so D_{e_a} of those constants reduces to its Gamma
+    terms.  Each residual also takes in the constancy block S - const_S on
+    the same points, which flags an S that is not that constant and keeps
+    the residual NaN wherever S is not finite.  Nothing is simplified."""
     n2 = 2 * s.n + 1
-    gamma = frame_christoffels(s, w_shift=w_shift)
-    coframe = coframe_symbolic(s)
-    frame = frame_symbolic(s)
+    conn = connection(s)
+    shifted = frame_christoffels(s, w_shift=w_shift) if w_shift else None
+    gamma = conn.gamma if shifted is None else shifted
+    coframe, frame = conn.coframe, conn.frame
     batch = point_batch(s.vars, points)
 
-    def parallel(S, slots):
-        const_S = _simplified(S)
+    def parallel(S, const_S, slots):
         return reduce_residual(
             [(a, _frame_covariant(s, gamma, const_S, slots, a))
              for a in range(n2)] + [("constancy", S - const_S)], s, batch)[0]
 
-    r1 = parallel(coframe @ frame[:, 0], "u")
-    r2 = parallel(coframe @ lie_derivative_J(s) @ frame, "ul")
-    r3 = parallel(coframe @ endomorphism_E(s) @ frame, "ul")
+    flow, lxj, swap = constant_frames(s.n)
+    r1 = parallel(coframe @ frame[:, 0], flow, "u")
+    r2 = parallel(coframe @ lie_derivative_J(s) @ frame, lxj, "ul")
+    r3 = parallel(coframe @ endomorphism_E(s) @ frame, swap, "ul")
 
-    r4 = reduce_residual(_torsion_deltas(s, torsion(s, check="none"), gamma),
-                         s, batch)[0]
+    r4 = reduce_residual(_torsion_deltas(s, conn.torsion, shifted), s,
+                         batch)[0]
 
     return {"flow_parallel": r1, "eigenstructure_parallel": r2,
             "swap_parallel": r3, "torsion_match": r4}
@@ -344,9 +456,10 @@ def verify_structure_identities(s: SodeSystem, points) -> dict:
     A taken from the curvature of the connection (definition path), and
     (ii) 3T^i_{kj} = dP^i_j/dv^k - dP^i_k/dv^j."""
     n = s.n
-    sc = splitting_curvature(s, check="none")
+    conn = connection(s)
+    sc = conn.torsion
     dP = _jacobian(sc.P, s.vars.velocities)    # [h, k, j]: dP^h_k/dv^j
-    R = _curvature_array(s, frame_christoffels(s))
+    R = conn.curvature_array
     batch = point_batch(s.vars, points)
 
     # R[0, 1 + j, 1 + k, 1 + h] is the coefficient of X_h in R(X, X_j)X_k
@@ -362,14 +475,14 @@ def verify_structure_identities(s: SodeSystem, points) -> dict:
 def torsion_oracle_residual(s: SodeSystem, points) -> float:
     """max |Tor_definition - torsion blocks| over frame pairs and points;
     NaN when any value is not finite."""
-    deltas = _torsion_deltas(s, torsion(s, check="none"), frame_christoffels(s))
+    deltas = _torsion_deltas(s, connection(s).torsion)
     return reduce_residual(deltas, s, point_batch(s.vars, points))[0]
 
 
 def curvature_oracle_residual(s: SodeSystem, points) -> float:
     """max |R_definition - component table| over frame triples and points,
     vanishing blocks included; NaN when any value is not finite."""
-    deltas = _curvature_deltas(s, curvature_components(s))
+    deltas = _curvature_deltas(s, connection(s).curvature)
     return reduce_residual(deltas, s, point_batch(s.vars, points))[0]
 
 

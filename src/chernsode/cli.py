@@ -27,10 +27,10 @@ from .expressions import (
 )
 from .sode import (
     JetPoints, OracleMismatch, SodeSystem, eval_array, point_batch,
-    sample_points, splitting_curvature, worst_abs,
+    sample_points, worst_abs,
 )
 from .chern import (
-    curvature_components, curvature_oracle_residual, eigenstructure_residual,
+    connection, curvature_oracle_residual, eigenstructure_residual,
     torsion_oracle_residual, verify_characterization,
     verify_structure_identities,
 )
@@ -382,8 +382,8 @@ def _point_list(points):
 def task_analyze(problem: Problem) -> dict:
     s, pts = problem.system, problem.points
     tol = problem.tolerances
-    sc = splitting_curvature(s, check="none")
-    comp = curvature_components(s)
+    conn = connection(s)
+    sc, comp = conn.torsion, conn.curvature
     kos = kosambi_invariants(s)
     checks = {
         "torsion_oracle": torsion_oracle_residual(s, pts),

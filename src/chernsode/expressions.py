@@ -546,41 +546,54 @@ def parse(text: str, vars: VarSet) -> Expr:
 # differentiation, and the finite-difference oracle that checks it
 # --------------------------------------------------------------------------
 
-def diff(e: Expr, name: str) -> Expr:
+def diff(e: Expr, name: str, _memo=None) -> Expr:
+    """d e / d name.  The recursion passes one memo, keyed by compound node,
+    from the outermost call down, so a node that the DAG shares is
+    differentiated once per call and the time is linear in the distinct
+    nodes."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == name else ZERO
+    if _memo is None:
+        _memo = {}
+    else:
+        out = _memo.get(e)
+        if out is not None:
+            return out
     if isinstance(e, Add):
-        return add(*[diff(t, name) for t in e.terms])
-    if isinstance(e, Mul):
+        out = add(*[diff(t, name, _memo) for t in e.terms])
+    elif isinstance(e, Mul):
         terms = []
         for i, f in enumerate(e.factors):
-            df = diff(f, name)
+            df = diff(f, name, _memo)
             if df is not ZERO:
                 terms.append(mul(*e.factors[:i], df, *e.factors[i + 1:]))
-        return add(*terms)
-    if isinstance(e, Pow):
-        db = diff(e.base, name)
-        if db is ZERO:
-            return ZERO
-        return mul(e.exponent, pow_(e.base, e.exponent - 1), db)
-    if isinstance(e, Call):
-        da = diff(e.arg, name)
+        out = add(*terms)
+    elif isinstance(e, Pow):
+        db = diff(e.base, name, _memo)
+        out = ZERO if db is ZERO else \
+            mul(e.exponent, pow_(e.base, e.exponent - 1), db)
+    elif isinstance(e, Call):
+        da = diff(e.arg, name, _memo)
         if da is ZERO:
-            return ZERO
-        if e.func == "sin":
-            outer = Call("cos", e.arg)
-        elif e.func == "cos":
-            outer = neg(Call("sin", e.arg))
-        elif e.func == "exp":
-            outer = e
-        elif e.func == "log":
-            outer = pow_(e.arg, -1)
-        else:  # sqrt
-            outer = div(const(Fraction(1, 2)), e)
-        return mul(outer, da)
-    raise TypeError(f"cannot differentiate {type(e).__name__}")
+            out = ZERO
+        else:
+            if e.func == "sin":
+                outer = Call("cos", e.arg)
+            elif e.func == "cos":
+                outer = neg(Call("sin", e.arg))
+            elif e.func == "exp":
+                outer = e
+            elif e.func == "log":
+                outer = pow_(e.arg, -1)
+            else:  # sqrt
+                outer = div(const(Fraction(1, 2)), e)
+            out = mul(outer, da)
+    else:
+        raise TypeError(f"cannot differentiate {type(e).__name__}")
+    _memo[e] = out
+    return out
 
 
 def richardson(g, h: float):

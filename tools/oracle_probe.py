@@ -1,0 +1,71 @@
+"""Seconds and residuals of the `chernsode verify` oracles in the library.
+
+    python3 tools/oracle_probe.py --n 4
+
+Builds `random_polynomial_sode(N, seed=3000)` and 50 sample points (seed 1)
+with this checkout's `src/`, runs the five oracles of `chernsode verify` in
+its order in this one process, and prints one row per residual:
+
+    oracle  seconds  residual-key  residual  tolerance
+
+followed by the total seconds.  An oracle's seconds include the symbolic
+arrays it is the first to build.  The script exits 1 when a residual is not
+finite or exceeds the `verify` tolerance of its key (`cli.DEFAULT_TOLERANCES`:
+"oracle" for keys naming an oracle, "identity" for the others), and 0
+otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from chernsode import chern  # noqa: E402
+from chernsode.cli import DEFAULT_TOLERANCES  # noqa: E402
+from chernsode.sode import random_polynomial_sode, sample_points  # noqa: E402
+
+# the oracles of `cli.task_verify`, in its order, with their residual keys
+ORACLES = (
+    ("verify_structure_identities", None),
+    ("torsion_oracle_residual", "torsion_oracle"),
+    ("curvature_oracle_residual", "curvature_oracle"),
+    ("verify_characterization", "characterization_{}"),
+    ("eigenstructure_residual", "eigenstructure"),
+)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--n", type=int, required=True,
+                        help="dimension of the system (n >= 1)")
+    args = parser.parse_args(argv)
+    s = random_polynomial_sode(args.n, seed=3000)
+    pts = sample_points(s.vars, 50, 1)
+    failed, total = 0, 0.0
+    for name, key in ORACLES:
+        t0 = time.perf_counter()
+        result = getattr(chern, name)(s, pts)
+        seconds = time.perf_counter() - t0
+        total += seconds
+        if isinstance(result, dict):
+            pattern = key or "{}"
+            rows = [(pattern.format(k), v) for k, v in result.items()]
+        else:
+            rows = [(key, result)]
+        for label, value in rows:
+            tol = DEFAULT_TOLERANCES["oracle" if "oracle" in label
+                                     else "identity"]
+            failed += not (math.isfinite(value) and value <= tol)
+            print(f"{name:28s} {seconds:8.3f} {label:40s} {value:.3e} {tol:g}",
+                  flush=True)
+    print(f"{'total':28s} {total:8.3f}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
