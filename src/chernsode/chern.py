@@ -10,7 +10,7 @@ and R_abc = e_a Gamma_bc - e_b Gamma_ac + Gamma_bc.Gamma_a - Gamma_ac.Gamma_b
 functions C_ab^d = theta^d([e_a, e_b]), never from the closed formulas.
 
 Each system has one `Connection` (`connection(s)`): the frame and coframe,
-Gamma, (P, T), (A, B, R), the structure functions and the torsion and
+L_X J, Gamma, (P, T), (A, B, R), the structure functions and the torsion and
 curvature arrays, each built on first use and frozen, so the oracles of one
 `verify` share them.  The characterization checks the frame components of
 the flow, of L_X J and of the swap E against the constants that the paper's
@@ -125,6 +125,11 @@ class Connection:
     @cached_property
     def coframe(self) -> np.ndarray:
         return _frozen(coframe_symbolic(self.system))
+
+    @cached_property
+    def lie_derivative_J(self) -> np.ndarray:
+        """L_X J, built by the module-level `lie_derivative_J`."""
+        return _frozen(lie_derivative_J(self.system))
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -441,7 +446,7 @@ def verify_characterization(s: SodeSystem, points, w_shift=0) -> dict:
 
     flow, lxj, swap = constant_frames(s.n)
     r1 = parallel(coframe @ frame[:, 0], flow, "u")
-    r2 = parallel(coframe @ lie_derivative_J(s) @ frame, lxj, "ul")
+    r2 = parallel(coframe @ conn.lie_derivative_J @ frame, lxj, "ul")
     r3 = parallel(coframe @ endomorphism_E(s) @ frame, swap, "ul")
 
     r4 = reduce_residual(_torsion_deltas(s, conn.torsion, shifted), s,
@@ -490,8 +495,8 @@ def eigenstructure_residual(s: SodeSystem, points) -> float:
     """Distance of the eigenvalues of L_X J to the multiset
     {0, +1 (n times), -1 (n times)}, maximised over points; NaN when L_X J
     is not finite at some point."""
-    L = lie_derivative_J(s)
-    vals = eval_array(L, s.vars.names, point_batch(s.vars, points))
+    vals = eval_array(connection(s).lie_derivative_J, s.vars.names,
+                      point_batch(s.vars, points))
     if not np.isfinite(vals).all():
         return float("nan")
     expected = np.sort(np.array([0.0] + [1.0] * s.n + [-1.0] * s.n))

@@ -7,7 +7,8 @@ identities cancel to a literal zero under `simplify` and repeated runs are
 bit-for-bit reproducible.
 
 The numeric side lives here too: `compile_expr` and `evaluate` run one cached
-program per expression, with numpy on point batteries or with `math` and
+program per expression, and `run_programs` the programs of one call in one
+walk over their shared DAG, with numpy on point batteries or with `math` and
 DomainError checks at one point; `fd_diff` is the finite-difference oracle
 that cross-checks every symbolic derivative produced by `diff`.
 """
@@ -19,12 +20,10 @@ import operator
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from array import array
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import islice
 
 import numpy as np
 
@@ -951,32 +950,62 @@ def to_string(e: Expr) -> str:
 
 
 # --------------------------------------------------------------------------
-# evaluation: one program per expression, run with one of two tables
+# evaluation: one walk per call over the DAG of its expressions
 # --------------------------------------------------------------------------
 #
-# A program gives each distinct node of an expression a register: constants
-# (floats, and the integer exponents of powers) and variables first, then one
-# flat instruction (opcode, operand count, operand registers...) per compound
-# node in post-order, and it keeps those nodes.  _run executes them with a
-# table of operations, without recursion; run_programs runs the programs of
-# one call over one memo keyed by node, so that a node they share is computed
-# once per call.
+# A walk gives each distinct node of the union DAG of its roots a register,
+# in the order it meets them: a constant as a float, the integer exponent of
+# a power, a variable's value, and one instruction (opcode, operand
+# registers, lent register, register) per compound node, in post-order, root
+# by root, so a node that several roots share is computed once; a sum or
+# product of one operand is its operand's register.  _walk runs the
+# instructions of each root with a table of operations, without recursion,
+# yields the root's value and then drops every value that no later root
+# reads.  With the batch table a sum or product folds in place into the array
+# its first pair makes, and a value that an instruction reads for the last
+# time, as its operand 0 or 1 and only once, lends its array to the
+# instruction's result unless it is a root; so input columns, constants and
+# the values yielded are never written.
 
 def _fail(message):
     raise DomainError(message)
 
 
 _OPCODE = {Add: 0, Mul: 1, Pow: 2, **{f: 3 + k for k, f in enumerate(FUNCTIONS)}}
-_SUM, _PRODUCT = partial(reduce, operator.add), partial(reduce, operator.mul)
-# (load of a variable's value, operation per opcode); sums and products fold
-# one iterable of operands left to right, as `a + b + c` does, or by fsum.
-# The batch table loads a lone value as a numpy float, so a single point
-# overflows or divides by zero to inf/nan as a batch does
+_F64 = np.dtype(np.float64)
+
+
+def _fold(ufunc, binary):
+    """ufunc folded left to right over an iterable of operands, as `a + b + c`
+    does: the first pair goes into `out`, or into a new value, and once that
+    is a float array each later operand goes into it in place, which gives
+    the same bits; scalars go through `binary`, the operator of ufunc."""
+    def fold(args, out=None):
+        args = iter(args)
+        acc = next(args)
+        if out is not None:
+            acc = ufunc(acc, next(args), out)
+        for a in args:
+            if out is None:
+                acc = binary(acc, a)
+                if type(acc) is np.ndarray and acc.dtype is _F64:
+                    out = acc
+            else:
+                ufunc(acc, a, acc)
+        return acc
+    return fold
+
+
+# (load of a variable's value, operation per opcode); sums and products take
+# one iterable of operands.  The batch table loads a lone value as a numpy
+# float, so a single point overflows or divides by zero to inf/nan as a batch
+# does, and its sums, products and functions take an `out` array to lend
 _BATCH = (lambda v: v if isinstance(v, np.ndarray) else np.float64(v),
-          (_SUM, _PRODUCT, operator.pow,
+          (_fold(np.add, operator.add), _fold(np.multiply, operator.mul),
+           operator.pow,
            np.cos, np.exp, np.log, np.sin, np.sqrt))
 _SCALAR = (float, (
-    math.fsum, _PRODUCT,
+    math.fsum, partial(reduce, operator.mul),
     lambda b, k: _fail("division by zero") if k < 0 and b == 0.0 else b ** k,
     math.cos, math.exp,
     lambda a: _fail("log of a non-positive value") if a <= 0.0 else math.log(a),
@@ -984,58 +1013,135 @@ _SCALAR = (float, (
     lambda a: _fail("sqrt of a negative value") if a < 0.0 else math.sqrt(a)))
 
 
-def _run(consts, loads, code, nodes, values, table=_BATCH, memo=None):
-    """The program's value.  With a memo, the value of an instruction's node
-    is read from it when there, else computed and stored there, under the
-    node's id."""
+def _plan(roots, names):
+    """(registers, loads, segments) of one walk over the union DAG of `roots`,
+    which visits each distinct node once.  `registers` holds the constants and
+    None for every other register, `loads` the (register, index in `values`)
+    of each variable, and segment k (instructions, root register, registers
+    to drop) holds the instructions of the nodes that root k is the first
+    to reach and the values that no later segment reads."""
+    index = {name: i for i, name in enumerate(names)}
+    slot, registers, loads = {}, [], []     # node id -> register
+    code, ends, tops, last, final = [], [], [], {}, {}
+
+    def visit(node):
+        """The operands of a compound node; a leaf gets its register."""
+        t = type(node)
+        if t is Add:
+            return node.terms
+        if t is Mul:
+            return node.factors
+        if t is Pow:
+            return node.base, node.exponent
+        if t is Call:
+            return (node.arg,)
+        slot[id(node)] = len(registers)
+        if t is Var:
+            loads.append((len(registers), index[node.name]))
+        registers.append(None if t is Var else _float(node.value)
+                         if t is Const else node)   # a power's exponent
+        return ()
+
+    for k, root in enumerate(roots):
+        args = () if id(root) in slot else visit(root)
+        stack = [(root, args, iter(args))] if args else []
+        while stack:                        # operands first, left to right
+            node, args, it = stack[-1]
+            for a in it:
+                if id(a) not in slot and (sub := visit(a)):
+                    stack.append((a, sub, iter(sub)))
+                    break
+            else:
+                stack.pop()
+                regs = tuple([slot[id(a)] for a in args])
+                if len(regs) == 1 and type(node) is not Call:
+                    slot[id(node)] = regs[0]    # a sum or product of one term
+                    continue
+                for r in regs:
+                    last[r], final[r] = len(code), k
+                slot[id(node)] = len(registers)
+                code.append([_OPCODE[node.func if type(node) is Call
+                                     else type(node)], regs, None,
+                             len(registers)])
+                registers.append(None)
+        tops.append(slot[id(root)])
+        final[tops[-1]] = k
+        ends.append(len(code))
+    results, kept = {ins[3] for ins in code}, set(tops)
+    for r, i in last.items():               # lend where read for the last time
+        ins = code[i]
+        if ins[2] is None and ins[0] != _OPCODE[Pow] and r in results \
+                and r not in kept and r in ins[1][:2] and ins[1].count(r) == 1:
+            ins[2] = r
+    gone = [[] for _ in tops]
+    for r, k in final.items():
+        if r in results:
+            gone[k].append(r)
+    return (tuple(registers), tuple(loads),
+            [(code[start:end], top, tuple(drop)) for start, end, top, drop
+             in zip([0] + ends, ends, tops, gone)])
+
+
+def _walk(plan, values, table):
+    """Run a plan on `values` (aligned with the names it was made over) and
+    yield the value of each root; a value is dropped after the yield of the
+    last segment that reads it."""
+    registers, loads, segments = plan
     load, ops = table
-    regs = [*consts, *[load(values[i]) for i in loads]]
-    reg, it, keys = regs.__getitem__, iter(code), map(id, nodes)
-    for op in it:                       # opcode, count, operands
-        args = map(reg, islice(it, next(it)))
-        if memo is not None:
-            key = next(keys)
-            if key in memo:
-                regs.append(memo[key])
-                for _ in args:          # skip the operands
-                    pass
-                continue
-        value = ops[op](args) if op < 2 else ops[op](*args)  # 0, 1: Add, Mul
-        if memo is not None:
-            memo[key] = value
-        regs.append(value)
-    return regs[-1]
+    lending = table is _BATCH
+    regs = list(registers)
+    for r, i in loads:
+        regs[r] = load(values[i])
+    reg = regs.__getitem__
+    for code, top, gone in segments:
+        for op, args, lend, dest in code:
+            args = map(reg, args)
+            if lend is not None and lending:
+                out = regs[lend]
+                if type(out) is np.ndarray and out.dtype is _F64:
+                    regs[dest] = (ops[op](args, out) if op < 2
+                                  else ops[op](*args, out))
+                    continue
+            regs[dest] = ops[op](args) if op < 2 else ops[op](*args)
+        yield regs[top]
+        for r in gone:
+            regs[r] = None
 
 
 def run_programs(programs, values, table=_BATCH):
     """Run programs, compiled over the names that `values` follows, on one
-    batch in order and yield the value of each.  They share one memo keyed by
-    node, so a node that several of them compute is computed once per call,
-    and its value is dropped after the last program that needs it.  At a
-    single point (no value with a batch axis) each program runs alone: there
-    an operation costs less than its memo entry."""
+    batch in order and yield the value of each.  On a batch they run as one
+    walk over the union DAG of their expressions, which computes a node
+    they share once and drops its value after the yield of the last program
+    that reads it; at a single point (no value with a batch axis) each
+    program runs alone, as there an operation costs less than its share of
+    the plan."""
     if not any(isinstance(v, np.ndarray) and v.ndim for v in values):
         for program in programs:
             yield program(values, table)
         return
-    last = {}
-    for k, program in enumerate(programs):
-        last.update(dict.fromkeys(map(id, program.args[3]), k))
-    dead = [[] for _ in programs]
-    for key, k in last.items():
-        dead[k].append(key)
-    memo = {}
-    for program, gone in zip(programs, dead):
-        yield program(values, table, memo)
-        for key in gone:
-            del memo[key]
+    if not programs:
+        return
+    names = programs[0].names
+    if any(p.names != names for p in programs):
+        raise ValueError("programs compiled over different names")
+    yield from _walk(_plan([p.expr for p in programs], names), values, table)
 
 
-def _operands(node):
-    t = type(node)
-    return (node.terms if t is Add else node.factors if t is Mul
-            else (node.base, node.exponent) if t is Pow
-            else (node.arg,) if t is Call else ())
+class _Program:
+    """What `compile_expr` returns: program(values, table=_BATCH) evaluates
+    its expression on `values` aligned with `names`.  It plans its own walk
+    on its first call; `run_programs` reads only its expression."""
+
+    __slots__ = ("expr", "names", "_plan", "__weakref__")
+
+    def __init__(self, expr, names):
+        self.expr, self.names, self._plan = expr, names, None
+
+    def __call__(self, values, table=_BATCH):
+        if self._plan is None:
+            self._plan = _plan((self.expr,), self.names)
+        return next(_walk(self._plan, values, table))
 
 
 def _float(q):
@@ -1070,28 +1176,4 @@ def compile_expr(e: Expr, names):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _compile(e: Expr, names: tuple):
-    index = {name: i for i, name in enumerate(names)}
-    consts, reads, nodes = [], [], []       # each in post-order
-    seen = set()                            # ids of the nodes met
-    stack = [(e, None)]
-    while stack:
-        node, args = stack.pop()
-        if args is None:
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            args = _operands(node)
-            if args:                        # operands first, left to right
-                stack.append((node, args))
-                stack.extend((a, None) for a in reversed(args))
-                continue
-        (nodes if args else reads if type(node) is Var else consts).append(node)
-    slot = {id(node): k for k, node in enumerate(consts + reads + nodes)}
-    code = array("i")
-    for node in nodes:
-        args = _operands(node)
-        code.extend((_OPCODE[node.func if type(node) is Call else type(node)],
-                     len(args), *[slot[id(a)] for a in args]))
-    return partial(_run, tuple(_float(c.value) if type(c) is Const else c
-                               for c in consts),
-                   tuple(index[v.name] for v in reads), code, tuple(nodes))
+    return _Program(e, names)

@@ -240,9 +240,9 @@ def bracket(X, Y, coords) -> np.ndarray:
 
 def eval_array(M, names, values) -> np.ndarray:
     """Evaluate an object array of Expr entry-wise through `run_programs`,
-    which on a batch computes a node that entries share once; `values` is a
-    sequence of scalars or numpy arrays aligned with `names` (arrays give a
-    batch axis)."""
+    which on a batch computes a node that entries share once, in one walk;
+    `values` is a sequence of scalars or numpy arrays aligned with `names`
+    (arrays give a batch axis)."""
     M = np.asarray(M, dtype=object)
     arrays = [v for v in values if isinstance(v, np.ndarray) and v.ndim]
     out = np.zeros(M.shape + ((len(arrays[0]),) if arrays else ()))
@@ -281,7 +281,8 @@ def worst_abs(*values) -> float:
     flat = [np.ravel(v) for v in values]
     if not sum(a.size for a in flat):
         return 0.0
-    worst = float(np.max(np.abs(np.concatenate(flat))))
+    worst = float(np.max(np.abs(flat[0] if len(flat) == 1
+                                else np.concatenate(flat))))
     return worst if math.isfinite(worst) else float("nan")
 
 
@@ -300,11 +301,12 @@ class Residual(NamedTuple):
 
 def reduce_residual(blocks, s: SodeSystem, batch) -> Residual:
     """Reduce (label, Expr array) pairs on a point batch, entry by entry in
-    order over one memo (`run_programs`), so a node that entries share is
-    computed once.  A non-finite value ranks above every finite one: `worst`
-    is then NaN and the witness is the first block, entry and point holding
-    one.  Among finite values the first largest |value| wins, so a ZERO
-    entry, which can never win, is not evaluated."""
+    order in one walk (`run_programs`), so a node that entries share is
+    computed once, taking |value| once per entry.  A non-finite value ranks
+    above every finite one: `worst` is then NaN and the witness is the first
+    block, entry and point holding one.  Among finite values the first
+    largest |value| wins, so a ZERO entry, which can never win, is not
+    evaluated."""
     entries = [(label, entry, e) for label, arr in blocks
                for entry, e in enumerate(np.asarray(arr, dtype=object).flat)
                if e is not ZERO]
@@ -312,11 +314,15 @@ def reduce_residual(blocks, s: SodeSystem, batch) -> Residual:
     out, nonfinite = Residual(0.0, None, 0, None, None, None), 0
     for (label, entry, _), value in zip(entries, run_programs(programs, batch)):
         vals = np.ravel(value)
-        top = worst_abs(vals)
-        bad = np.flatnonzero(~np.isfinite(vals)) if math.isnan(top) else []
+        if not vals.size:
+            continue
+        mags = np.abs(vals)
+        k = int(np.argmax(mags))            # the first NaN, if there is one
+        top = float(mags[k]) if math.isfinite(mags[k]) else math.nan
+        bad = np.flatnonzero(~np.isfinite(mags)) if math.isnan(top) else []
         if not nonfinite and (len(bad) or top > out.worst):
-            k = bad[0] if len(bad) else np.argmax(np.abs(vals))
-            out = Residual(top, label, 0, entry, int(k), float(vals[k]))
+            k = int(bad[0]) if len(bad) else k
+            out = Residual(top, label, 0, entry, k, float(vals[k]))
         nonfinite += len(bad)
     return out._replace(nonfinite=nonfinite)
 

@@ -146,3 +146,23 @@ def test_definitions_read_the_connection_arrays():
              -conn.curvature_array[1, 2, 1])]:
         assert got.flags.writeable
         assert all(a is b for a, b in zip(got, want))
+
+
+def test_verify_builds_lie_derivative_J_once(tmp_path, capsys, monkeypatch):
+    """The characterization and the eigenstructure residual of one `verify`
+    read the connection's frozen L_X J."""
+    calls, build = [], chern.lie_derivative_J
+
+    def counted(s):
+        calls.append(s)
+        return build(s)
+
+    monkeypatch.setattr(chern, "lie_derivative_J", counted)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(PROBLEM))
+    assert cli.main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    L = connection(calls[0]).lie_derivative_J
+    assert not L.flags.writeable
+    assert all(a is b for a, b in zip(L.flat, build(calls[0]).flat))

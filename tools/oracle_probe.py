@@ -6,10 +6,15 @@ Builds `random_polynomial_sode(N, seed=3000)` and 50 sample points (seed 1)
 with this checkout's `src/`, runs the five oracles of `chernsode verify` in
 its order in this one process, and prints one row per residual:
 
-    oracle  seconds  residual-key  residual  tolerance
+    oracle  seconds  operations  programs  residual-key  residual  tolerance
 
-followed by the total seconds.  An oracle's seconds include the symbolic
-arrays it is the first to build.  The script exits 1 when a residual is not
+followed by the totals.  An oracle's seconds include the symbolic arrays it
+is the first to build.  `operations` counts the instructions of the walks
+the oracle plans (`expressions._plan`), each of which runs once per walk,
+so a node that several entries share counts once; `programs` counts the
+programs `compile_expr` builds (`expressions._Program`), one per entry not
+already in its cache.  Both are counted by wrapping those two names here,
+not by the library.  The script exits 1 when a residual is not
 finite or exceeds the `verify` tolerance of its key (`cli.DEFAULT_TOLERANCES`:
 "oracle" for keys naming an oracle, "identity" for the others), and 0
 otherwise.
@@ -25,7 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from chernsode import chern  # noqa: E402
+from chernsode import chern, expressions  # noqa: E402
 from chernsode.cli import DEFAULT_TOLERANCES  # noqa: E402
 from chernsode.sode import random_polynomial_sode, sample_points  # noqa: E402
 
@@ -39,6 +44,23 @@ ORACLES = (
 )
 
 
+def _count(counts):
+    """Wrap `expressions._plan` and `expressions._Program` so that they add
+    the operations planned and the programs built to `counts`."""
+    plan, program = expressions._plan, expressions._Program
+
+    def counted_plan(roots, names):
+        out = plan(roots, names)
+        counts["operations"] += sum(len(code) for code, _, _ in out[2])
+        return out
+
+    def counted_program(e, names):
+        counts["programs"] += 1
+        return program(e, names)
+
+    expressions._plan, expressions._Program = counted_plan, counted_program
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n", type=int, required=True,
@@ -46,12 +68,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     s = random_polynomial_sode(args.n, seed=3000)
     pts = sample_points(s.vars, 50, 1)
-    failed, total = 0, 0.0
+    counts = dict.fromkeys(("operations", "programs"), 0)
+    _count(counts)
+    failed, total, operations, programs = 0, 0.0, 0, 0
     for name, key in ORACLES:
+        counts.update(operations=0, programs=0)
         t0 = time.perf_counter()
         result = getattr(chern, name)(s, pts)
         seconds = time.perf_counter() - t0
         total += seconds
+        operations += counts["operations"]
+        programs += counts["programs"]
         if isinstance(result, dict):
             pattern = key or "{}"
             rows = [(pattern.format(k), v) for k, v in result.items()]
@@ -61,9 +88,10 @@ def main(argv=None) -> int:
             tol = DEFAULT_TOLERANCES["oracle" if "oracle" in label
                                      else "identity"]
             failed += not (math.isfinite(value) and value <= tol)
-            print(f"{name:28s} {seconds:8.3f} {label:40s} {value:.3e} {tol:g}",
+            print(f"{name:28s} {seconds:8.3f} {counts['operations']:10d} "
+                  f"{counts['programs']:8d} {label:40s} {value:.3e} {tol:g}",
                   flush=True)
-    print(f"{'total':28s} {total:8.3f}")
+    print(f"{'total':28s} {total:8.3f} {operations:10d} {programs:8d}")
     return 1 if failed else 0
 
 
