@@ -20,10 +20,12 @@ import operator
 import re
 import weakref
 from _weakref import _remove_dead_weakref
+from array import array
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
+from itertools import islice
 
 import numpy as np
 
@@ -953,19 +955,20 @@ def to_string(e: Expr) -> str:
 # evaluation: one walk per call over the DAG of its expressions
 # --------------------------------------------------------------------------
 #
-# A walk gives each distinct node of the union DAG of its roots a register,
-# in the order it meets them: a constant as a float, the integer exponent of
-# a power, a variable's value, and one instruction (opcode, operand
-# registers, lent register, register) per compound node, in post-order, root
-# by root, so a node that several roots share is computed once; a sum or
-# product of one operand is its operand's register.  _walk runs the
-# instructions of each root with a table of operations, without recursion,
-# yields the root's value and then drops every value that no later root
-# reads.  With the batch table a sum or product folds in place into the array
-# its first pair makes, and a value that an instruction reads for the last
-# time, as its operand 0 or 1 and only once, lends its array to the
-# instruction's result unless it is a root; so input columns, constants and
-# the values yielded are never written.
+# A walk gives each distinct node of the union DAG of its roots a register:
+# first the leaves (constants as floats, the integer exponents of powers and
+# the variables' values), then one per instruction, which computes a
+# compound node from its operands' registers; instructions come in
+# post-order, root by root, so a node that several roots share is computed
+# once, and a sum or product of one operand is its operand's register.  _run
+# executes instructions with a table of operations, without recursion;
+# _walk yields each root's value and then drops every value that no later
+# root reads.  A walk on arrays with the batch table (`run_programs`) runs
+# the `_INTO` operations: a sum or product folds in place into the array its
+# first pair makes, and a value that an instruction reads for the last time,
+# as its operand 0 or 1 and only once, lends its array to the instruction's
+# result unless it is a root; input columns, constants and the values
+# yielded are never written.
 
 def _fail(message):
     raise DomainError(message)
@@ -976,36 +979,39 @@ _F64 = np.dtype(np.float64)
 
 
 def _fold(ufunc, binary):
-    """ufunc folded left to right over an iterable of operands, as `a + b + c`
-    does: the first pair goes into `out`, or into a new value, and once that
-    is a float array each later operand goes into it in place, which gives
-    the same bits; scalars go through `binary`, the operator of ufunc."""
+    """ufunc folded left to right over an iterable of two or more operands,
+    as `a + b + c` does: the first pair goes into `out`, or through
+    `binary`, the operator of ufunc, into a new value, and when that is a
+    float array each later operand goes into it in place, with the same
+    bits."""
     def fold(args, out=None):
         args = iter(args)
-        acc = next(args)
-        if out is not None:
-            acc = ufunc(acc, next(args), out)
+        if out is None:
+            out = binary(next(args), next(args))
+            if type(out) is not np.ndarray or out.dtype is not _F64:
+                return reduce(binary, args, out)
+        else:
+            ufunc(next(args), next(args), out)
         for a in args:
-            if out is None:
-                acc = binary(acc, a)
-                if type(acc) is np.ndarray and acc.dtype is _F64:
-                    out = acc
-            else:
-                ufunc(acc, a, acc)
-        return acc
+            ufunc(out, a, out)
+        return out
     return fold
 
 
-# (load of a variable's value, operation per opcode); sums and products take
-# one iterable of operands.  The batch table loads a lone value as a numpy
-# float, so a single point overflows or divides by zero to inf/nan as a batch
-# does, and its sums, products and functions take an `out` array to lend
+_SUM, _PRODUCT = partial(reduce, operator.add), partial(reduce, operator.mul)
+# (load of a variable's value, operation per opcode); sums and products fold
+# one iterable of operands left to right, as `a + b + c` does, or by fsum.
+# The batch table loads a lone value as a numpy float, so a single point
+# overflows or divides by zero to inf/nan as a batch does
 _BATCH = (lambda v: v if isinstance(v, np.ndarray) else np.float64(v),
-          (_fold(np.add, operator.add), _fold(np.multiply, operator.mul),
-           operator.pow,
+          (_SUM, _PRODUCT, operator.pow,
            np.cos, np.exp, np.log, np.sin, np.sqrt))
+# the batch table's operations in a walk on arrays: sums and products fold
+# in place, and all but the power take the array of a value to write into
+_INTO = (_fold(np.add, operator.add), _fold(np.multiply, operator.mul),
+         *_BATCH[1][2:])
 _SCALAR = (float, (
-    math.fsum, partial(reduce, operator.mul),
+    math.fsum, _PRODUCT,
     lambda b, k: _fail("division by zero") if k < 0 and b == 0.0 else b ** k,
     math.cos, math.exp,
     lambda a: _fail("log of a non-positive value") if a <= 0.0 else math.log(a),
@@ -1014,15 +1020,18 @@ _SCALAR = (float, (
 
 
 def _plan(roots, names):
-    """(registers, loads, segments) of one walk over the union DAG of `roots`,
-    which visits each distinct node once.  `registers` holds the constants and
-    None for every other register, `loads` the (register, index in `values`)
-    of each variable, and segment k (instructions, root register, registers
-    to drop) holds the instructions of the nodes that root k is the first
-    to reach and the values that no later segment reads."""
+    """(leaves, loads, code, segments) of one walk over the union DAG of
+    `roots`, which visits each distinct node once.  The first registers are
+    the leaves: `leaves` holds the constants and None for each variable,
+    whose register and index in `values` follow each other in `loads`.
+    Every instruction of `code` appends a register: opcode + 8 * (lent
+    register + 1) when it lends, operand count, operand registers.  Segment
+    k (instruction count, root register, registers to drop) computes the
+    nodes that root k is the first to reach and drops the values that no
+    later segment reads."""
     index = {name: i for i, name in enumerate(names)}
-    slot, registers, loads = {}, [], []     # node id -> register
-    code, ends, tops, last, final = [], [], [], {}, {}
+    slot, leaves, loads = {}, [], []    # node id -> register, ~j for result j
+    code, segments, last, final, results = [], [], {}, {}, 0
 
     def visit(node):
         """The operands of a compound node; a leaf gets its register."""
@@ -1035,14 +1044,15 @@ def _plan(roots, names):
             return node.base, node.exponent
         if t is Call:
             return (node.arg,)
-        slot[id(node)] = len(registers)
+        slot[id(node)] = len(leaves)
         if t is Var:
-            loads.append((len(registers), index[node.name]))
-        registers.append(None if t is Var else _float(node.value)
-                         if t is Const else node)   # a power's exponent
+            loads.extend((len(leaves), index[node.name]))
+        leaves.append(None if t is Var else _float(node.value)
+                      if t is Const else node)      # a power's exponent
         return ()
 
     for k, root in enumerate(roots):
+        first = results
         args = () if id(root) in slot else visit(root)
         stack = [(root, args, iter(args))] if args else []
         while stack:                        # operands first, left to right
@@ -1053,56 +1063,68 @@ def _plan(roots, names):
                     break
             else:
                 stack.pop()
-                regs = tuple([slot[id(a)] for a in args])
+                regs = [slot[id(a)] for a in args]
                 if len(regs) == 1 and type(node) is not Call:
                     slot[id(node)] = regs[0]    # a sum or product of one term
                     continue
                 for r in regs:
                     last[r], final[r] = len(code), k
-                slot[id(node)] = len(registers)
-                code.append([_OPCODE[node.func if type(node) is Call
-                                     else type(node)], regs, None,
-                             len(registers)])
-                registers.append(None)
-        tops.append(slot[id(root)])
-        final[tops[-1]] = k
-        ends.append(len(code))
-    results, kept = {ins[3] for ins in code}, set(tops)
-    for r, i in last.items():               # lend where read for the last time
-        ins = code[i]
-        if ins[2] is None and ins[0] != _OPCODE[Pow] and r in results \
-                and r not in kept and r in ins[1][:2] and ins[1].count(r) == 1:
-            ins[2] = r
-    gone = [[] for _ in tops]
+                slot[id(node)], results = ~results, results + 1
+                code += (_OPCODE[node.func if type(node) is Call
+                                 else type(node)], len(regs), *regs)
+        segments.append((results - first, slot[id(root)]))
+        final[slot[id(root)]] = k
+    n = len(leaves)                         # result j gets register n + j
+    code = [c if c >= 0 else n + ~c for c in code]
+    kept = {top for _, top in segments}
+    for r, at in last.items():              # lend where read for the last time
+        operands = code[at + 2:at + 2 + code[at + 1]]
+        if r < 0 and r not in kept and code[at] < 8 \
+                and code[at] != _OPCODE[Pow] and operands.count(n + ~r) == 1 \
+                and n + ~r in operands[:2]:
+            code[at] += (n + ~r + 1) << 3
+    gone = [[] for _ in segments[1:]]       # the walk ends after the last
     for r, k in final.items():
-        if r in results:
-            gone[k].append(r)
-    return (tuple(registers), tuple(loads),
-            [(code[start:end], top, tuple(drop)) for start, end, top, drop
-             in zip([0] + ends, ends, tops, gone)])
+        if r < 0 and k < len(gone):
+            gone[k].append(n + ~r)
+    return (tuple(leaves), tuple(loads), array("i", code),
+            tuple((count, top if top >= 0 else n + ~top, tuple(drop))
+                  for (count, top), drop in zip(segments, gone + [()])))
 
 
-def _walk(plan, values, table):
+def _registers(plan, values, load):
+    """The leaf registers of a plan, each variable loaded from `values`."""
+    leaves, loads = plan[:2]
+    regs, it = list(leaves), iter(loads)
+    for r in it:
+        regs[r] = load(values[next(it)])
+    return regs
+
+
+def _run(regs, it, count, ops):
+    """Run the next `count` instructions of the code iterator `it` with
+    `ops`, appending each value to `regs`.  With the `_INTO` operations an
+    instruction writes into the float array it is lent."""
+    reg, append, lending = regs.__getitem__, regs.append, ops is _INTO
+    for op in islice(it, count):
+        args = map(reg, islice(it, next(it)))
+        if op > 7:
+            lent, op = (op >> 3) - 1, op & 7
+            if lending and type(regs[lent]) is np.ndarray \
+                    and regs[lent].dtype is _F64:
+                append(ops[op](args, regs[lent]) if op < 2
+                       else ops[op](*args, regs[lent]))
+                continue
+        append(ops[op](args) if op < 2 else ops[op](*args))
+
+
+def _walk(plan, values, load, ops):
     """Run a plan on `values` (aligned with the names it was made over) and
     yield the value of each root; a value is dropped after the yield of the
     last segment that reads it."""
-    registers, loads, segments = plan
-    load, ops = table
-    lending = table is _BATCH
-    regs = list(registers)
-    for r, i in loads:
-        regs[r] = load(values[i])
-    reg = regs.__getitem__
-    for code, top, gone in segments:
-        for op, args, lend, dest in code:
-            args = map(reg, args)
-            if lend is not None and lending:
-                out = regs[lend]
-                if type(out) is np.ndarray and out.dtype is _F64:
-                    regs[dest] = (ops[op](args, out) if op < 2
-                                  else ops[op](*args, out))
-                    continue
-            regs[dest] = ops[op](args) if op < 2 else ops[op](*args)
+    regs, it = _registers(plan, values, load), iter(plan[2])
+    for count, top, gone in plan[3]:
+        _run(regs, it, count, ops)
         yield regs[top]
         for r in gone:
             regs[r] = None
@@ -1125,7 +1147,9 @@ def run_programs(programs, values, table=_BATCH):
     names = programs[0].names
     if any(p.names != names for p in programs):
         raise ValueError("programs compiled over different names")
-    yield from _walk(_plan([p.expr for p in programs], names), values, table)
+    load, ops = table
+    yield from _walk(_plan([p.expr for p in programs], names), values, load,
+                     _INTO if table is _BATCH else ops)
 
 
 class _Program:
@@ -1141,7 +1165,11 @@ class _Program:
     def __call__(self, values, table=_BATCH):
         if self._plan is None:
             self._plan = _plan((self.expr,), self.names)
-        return next(_walk(self._plan, values, table))
+        load, ops = table
+        regs = _registers(self._plan, values, load)
+        (count, top, _), = self._plan[3]
+        _run(regs, iter(self._plan[2]), count, ops)
+        return regs[top]
 
 
 def _float(q):

@@ -1,8 +1,9 @@
 """One walk per evaluation call: `expressions.run_programs` plans the union
-DAG of its programs' expressions once, computes each distinct node once,
-folds sums and products in place and lets an intermediate that is read for
-the last time lend its array to the result, with the bits of each program
-run alone and of a table that does neither."""
+DAG of its programs' expressions once, computes each distinct node once and,
+on a batch with the batch table, folds sums and products in place and lets
+an intermediate that is read for the last time lend its array to the
+result, with the bits of each program run alone and of a table that does
+neither."""
 
 import gc
 import math
@@ -37,22 +38,22 @@ def _programs(entries, names=V1.names):
     return [compile_expr(e, names) for e in entries]
 
 
-def _counting(table):
-    """`table` with each operation counted, and a weak reference kept to
-    every array it returns; the operations pass a lent array through."""
-    load, ops = table
-    counts, refs = [0] * len(ops), []
+def _counting(ops):
+    """`ops` with each operation counted, each array it is lent counted,
+    and a weak reference kept to every array it returns."""
+    counts, lent, refs = [0] * len(ops), [0], []
 
     def counted(k, op):
         def run(*args):
             counts[k] += 1
+            lent[0] += k != expressions._OPCODE[Pow] and len(args) == 2
             value = op(*args)
             if isinstance(value, np.ndarray):
                 refs.append(weakref.ref(value))
             return value
         return run
 
-    return (load, tuple(counted(k, op) for k, op in enumerate(ops))), counts, \
+    return tuple(counted(k, op) for k, op in enumerate(ops)), counts, lent, \
         refs
 
 
@@ -82,8 +83,9 @@ def _shared_entries():
 
 def test_each_distinct_node_runs_once_per_call():
     entries = _shared_entries()
-    table, counts, _ = _counting(expressions._BATCH)
-    values = list(run_programs(_programs(entries), BATCH, table))
+    load, ops = expressions._BATCH
+    ops, counts, _, _ = _counting(ops)
+    values = list(run_programs(_programs(entries), BATCH, (load, ops)))
     assert sum(counts) == len(_compound(entries))
     assert counts[expressions._OPCODE["sin"]] == 1
     for e, value in zip(entries, values):
@@ -185,9 +187,9 @@ def test_inputs_and_yielded_values_unchanged():
 
 
 def test_no_value_outlives_a_call(monkeypatch):
-    table, counts, refs = _counting(expressions._BATCH)
-    # the counted table stands in for the batch table, so it lends too
-    monkeypatch.setattr(expressions, "_BATCH", table)
+    ops, counts, lent, refs = _counting(expressions._INTO)
+    # the counted operations stand in for the in-place ones of batch walks
+    monkeypatch.setattr(expressions, "_INTO", ops)
     s = random_polynomial_sode(2, seed=61)
     points = sample_points(s.vars, 30, 2)
     gc.disable()
@@ -195,10 +197,11 @@ def test_no_value_outlives_a_call(monkeypatch):
         chern.curvature_oracle_residual(s, points)
         out = eval_array(chern.connection(s).lie_derivative_J, s.vars.names,
                          point_batch(s.vars, points))
-        values = list(run_programs(_programs(_shared_entries()), BATCH, table))
+        values = list(run_programs(_programs(_shared_entries()), BATCH))
         assert all(type(v) is np.ndarray for v in values)
         del values
-        assert sum(counts) and refs and all(ref() is None for ref in refs)
+        assert sum(counts) and lent[0] and refs
+        assert all(ref() is None for ref in refs)
         assert out.shape[-1] == 30
     finally:
         gc.enable()

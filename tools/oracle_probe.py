@@ -51,7 +51,7 @@ def _count(counts):
 
     def counted_plan(roots, names):
         out = plan(roots, names)
-        counts["operations"] += sum(len(code) for code, _, _ in out[2])
+        counts["operations"] += sum(count for count, _, _ in out[3])
         return out
 
     def counted_program(e, names):
