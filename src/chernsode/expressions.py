@@ -1165,6 +1165,7 @@ class _Program:
     def __call__(self, values, table=_BATCH):
         if self._plan is None:
             self._plan = _plan((self.expr,), self.names)
+        # one segment: what _walk does, without the cost of its generator
         load, ops = table
         regs = _registers(self._plan, values, load)
         (count, top, _), = self._plan[3]
