@@ -11,9 +11,9 @@ from .sode import (
     sample_points, split, splitting_curvature,
 )
 from .chern import (
-    ConnectionData, CurvatureComponents, TorsionTensor, connection_data,
-    covariant_derivative, curvature, torsion, verify_characterization,
-    verify_structure_identities,
+    ConnectionData, CurvatureComponents, TorsionTensor, connection,
+    connection_data, covariant_derivative, curvature, torsion,
+    verify_characterization, verify_structure_identities,
 )
 from .classify import (
     ClassificationReport, KosambiData, NotPositiveDefinite,

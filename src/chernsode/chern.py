@@ -12,7 +12,8 @@ functions C_ab^d = theta^d([e_a, e_b]), never from the closed formulas.
 Each system has one `Connection` (`connection(s)`): the frame and coframe,
 L_X J, Gamma, (P, T), (A, B, R), the structure functions and the torsion and
 curvature arrays, each built on first use and frozen, so the oracles of one
-`verify` share them.  The characterization checks the frame components of
+`verify` share them, and the classifiers, the Riemann bridge and the
+selftest read them too.  The characterization checks the frame components of
 the flow, of L_X J and of the swap E against the constants that the paper's
 construction gives them (`constant_frames`), without simplifying.
 """

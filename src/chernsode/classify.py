@@ -6,7 +6,9 @@ velocities / velocity-free / flat), the holonomy span rank, the traceless
 the Kosambi endomorphism with its characteristic polynomial (whose
 coefficients are sums of principal minors of P, expanded by the one symbolic
 determinant `sode._det`), and the first-prolongation nullity of the
-structure-group algebra.
+structure-group algebra.  The classifiers read (P, T) and (A, B, R) from
+the system's connection (`chern.connection`); `holonomy_spans` builds its
+(A, B, R) once per call.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from .expressions import (
     add, const, free_variables, is_polynomial, mul, simplify, var,
 )
 from .chern import (
-    connection_data, curvature_components, frame_christoffels, _frame_covariant,
+    connection, connection_data, curvature_components, frame_christoffels,
+    _frame_covariant,
 )
 from .sode import (
     JetPoint1, SodeSystem, as_expr, eval_array, expr_array, flow_derivative,
-    numeric_rank, point_batch, reduce_residual, sample_points,
-    splitting_curvature, worst_abs, zero_symbolically, _det, _jacobian,
+    numeric_rank, point_batch, reduce_residual, sample_points, worst_abs,
+    zero_symbolically, _det, _jacobian,
 )
 
 __all__ = [
@@ -124,8 +127,8 @@ def special_coordinate_conditions(s: SodeSystem, mode="symbolic",
 
     Necessary directions only; no coordinate construction is attempted.
     """
-    comp = curvature_components(s)
-    sc = splitting_curvature(s, check="none")
+    conn = connection(s)
+    comp, sc = conn.curvature, conn.torsion
     r_named = _named("R", comp.R)
     sets = {
         "linearizable_necessary": _named("B", comp.B) + r_named,
@@ -217,16 +220,18 @@ def unimodular_test(s: SodeSystem, mode="auto", points=None, tol=1e-10):
 # orthogonal holonomy residuals
 # --------------------------------------------------------------------------
 
-def _check_spd(U, s, points, tol=1e-9):
+def _check_spd(U, s, points, name="U", tol=1e-9):
+    """Raise NotPositiveDefinite, naming the matrix `name`, at the first
+    point where U is not finite, not symmetric or not positive definite."""
     vals = eval_array(U, s.vars.names, point_batch(s.vars, points))
     for k, p in enumerate(points):
         m = vals[:, :, k]
         if not np.isfinite(m).all():
-            raise NotPositiveDefinite(f"U not finite at {p}")
+            raise NotPositiveDefinite(f"{name} not finite at {p}")
         if np.max(np.abs(m - m.T)) > tol:
-            raise NotPositiveDefinite(f"U not symmetric at {p}")
+            raise NotPositiveDefinite(f"{name} not symmetric at {p}")
         if np.min(np.linalg.eigvalsh((m + m.T) / 2)) <= 0:
-            raise NotPositiveDefinite(f"U not positive definite at {p}")
+            raise NotPositiveDefinite(f"{name} not positive definite at {p}")
 
 
 def orthogonal_residual(s: SodeSystem, U, points, check_spd=True) -> dict:
@@ -261,7 +266,7 @@ def orthogonal_residual(s: SodeSystem, U, points, check_spd=True) -> dict:
         blocks.append((k, dU[:, :, k] + UV + UV.T))
     out["eq_ecuacion2"] = reduce_residual(blocks, s, batch)[0]
 
-    comp = curvature_components(s)
+    comp = connection(s).curvature
     u_vals = eval_array(U, s.vars.names, batch)
     for label, blocks in (
             ("eq_UABR_A", [comp.A[:, :, j] for j in range(n)]),
@@ -305,7 +310,7 @@ def kosambi_invariants(s: SodeSystem) -> KosambiData:
     det(lambda I + P), listed from lambda^n down: c_k is the sum of the k x k
     principal minors of P, each expanded by `sode._det`."""
     n = s.n
-    P = splitting_curvature(s, check="none").P
+    P = connection(s).torsion.P
     charpoly = [const(1)]
     for k in range(1, n + 1):
         minors = [_det([[P[i, j] for j in S] for i in S])

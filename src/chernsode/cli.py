@@ -426,8 +426,11 @@ def _condition_dict(result):
 
 def task_classify(problem: Problem) -> dict:
     s, pts = problem.system, problem.points
-    rep = classification_report(s, pts, U=problem.U,
-                                rank_tol=problem.tolerances["rank"])
+    try:
+        rep = classification_report(s, pts, U=problem.U,
+                                    rank_tol=problem.tolerances["rank"])
+    except NotPositiveDefinite as exc:
+        raise CliInputError("NotPositiveDefinite", str(exc), "U") from None
     report = {
         "flags": {name: _condition_dict(res) for name, res in rep.flags.items()},
         "holonomy_span_dim": rep.holonomy_span_dim,
@@ -455,9 +458,12 @@ def task_verify(problem: Problem) -> dict:
     tol = problem.tolerances
     residuals = {}
     residuals.update(verify_structure_identities(s, pts))
-    residuals["torsion_oracle"] = torsion_oracle_residual(s, pts)
+    # item (4) of the characterization reduces the torsion-oracle deltas on
+    # the same batch, so it is the torsion-oracle residual
+    characterization = verify_characterization(s, pts)
+    residuals["torsion_oracle"] = characterization["torsion_match"]
     residuals["curvature_oracle"] = curvature_oracle_residual(s, pts)
-    for key, val in verify_characterization(s, pts).items():
+    for key, val in characterization.items():
         residuals[f"characterization_{key}"] = val
     residuals["eigenstructure"] = eigenstructure_residual(s, pts)
     report = {"points": len(pts), "residuals": {}}
@@ -553,7 +559,11 @@ def task_riemann(problem: Problem) -> dict:
     pts = problem.points
     tol = problem.tolerances
     cross = cross_check(metric, points=pts)
-    compat = metric_compatibility(metric, points=pts)
+    try:
+        compat = metric_compatibility(metric, points=pts)
+    except NotPositiveDefinite as exc:
+        raise CliInputError("NotPositiveDefinite", str(exc), "metric") \
+            from None
     signature = hyperbolic_metric_signature(metric, points=pts)
     spray = geodesic_spray(metric)
     report = {
@@ -643,9 +653,8 @@ def main(argv=None) -> int:
             {"error": {"kind": "syntax", "message": str(exc),
                        "location": None}}))
         return 2
-    except (DomainError, ZeroDivisionError, SingularMetric,
-            NotPositiveDefinite, MissingInverse, OracleMismatch,
-            ValueError, MemoryError) as exc:
+    except (DomainError, ZeroDivisionError, SingularMetric, MissingInverse,
+            OracleMismatch, ValueError, MemoryError) as exc:
         kind = "DomainError" if isinstance(exc, ZeroDivisionError) \
             else "MemoryError" if isinstance(exc, MemoryError) \
             else type(exc).__name__

@@ -22,10 +22,12 @@ from .expressions import (
 )
 from .sode import (
     HALF, SodeSystem, eval_array, expr_array, max_abs, point_batch,
-    sample_points, splitting_curvature, zero_symbolically, _det, _jacobian,
+    sample_points, zero_symbolically, _det, _jacobian,
 )
-from .chern import curvature_components
-from .classify import orthogonal_residual, parallel_metric_residual
+from .chern import connection
+from .classify import (
+    orthogonal_residual, parallel_metric_residual, _check_spd,
+)
 
 __all__ = [
     "MetricField", "SingularMetric", "christoffel", "geodesic_spray",
@@ -137,7 +139,16 @@ def christoffel(metric: MetricField) -> np.ndarray:
 
 def geodesic_spray(metric: MetricField) -> SodeSystem:
     """x''^h = -Gamma^h_{ij} v^i v^j: quadratic in the velocities and
-    time-independent."""
+    time-independent.  The one spray of the metric object, kept in its
+    instance dict (so its connection is shared too); an equal but distinct
+    metric has its own."""
+    fields = vars(metric)
+    if "_spray" not in fields:
+        fields["_spray"] = _spray(metric)
+    return fields["_spray"]
+
+
+def _spray(metric: MetricField) -> SodeSystem:
     n = metric.n
     gamma = christoffel(metric)
     vs = metric.vars.velocities
@@ -189,8 +200,8 @@ def cross_check(metric: MetricField, points=None, count=50, seed=2024) -> dict:
     if points is None:
         points = sample_points(s.vars, count, seed, metric.sample_box())
     n = metric.n
-    sc = splitting_curvature(s, check="none")
-    comp = curvature_components(s)
+    conn = connection(s)
+    sc, comp = conn.torsion, conn.curvature
     R = riemann_tensor(metric)
     vs = s.vars.velocities
 
@@ -236,8 +247,7 @@ def cross_check(metric: MetricField, points=None, count=50, seed=2024) -> dict:
 def cross_check_symbolic(metric: MetricField) -> bool:
     """Simplify-to-zero form of the B identity (the generating one); the
     other three follow from it by the contractions tested numerically."""
-    s = geodesic_spray(metric)
-    comp = curvature_components(s)
+    comp = connection(geodesic_spray(metric)).curvature
     R = riemann_tensor(metric)
     n = metric.n
     for idx in np.ndindex((n, n, n, n)):
@@ -260,7 +270,8 @@ def metric_compatibility(metric: MetricField, points=None, count=50,
     if points is None:
         points = sample_points(s.vars, count, seed, metric.sample_box())
     U = metric.matrix()
-    out = orthogonal_residual(s, U, points)
+    _check_spd(U, s, points, "metric")
+    out = orthogonal_residual(s, U, points, check_spd=False)
     out["parallel_block_metric"] = parallel_metric_residual(s, U, points)
     return out
 

@@ -19,7 +19,7 @@ from .sode import (
     splitting_curvature, worst_abs, zero_symbolically, _jacobian,
 )
 from .chern import (
-    curvature_components, curvature_oracle_residual, eigenstructure_residual,
+    connection, curvature_oracle_residual, eigenstructure_residual,
     torsion_oracle_residual, verify_characterization,
     verify_structure_identities,
 )
@@ -60,7 +60,7 @@ def criterion_flat_suite():
     for n in (1, 2, 3):
         s = _flat(n)
         sc = splitting_curvature(s, check="symbolic")
-        comp = curvature_components(s)
+        comp = connection(s).curvature
         kos = kosambi_invariants(s)
         for arr in (sc.P, sc.T, comp.A, comp.B, comp.R):
             symbolic_ok &= all(zero_symbolically(arr[idx])
@@ -194,7 +194,7 @@ def criterion_curvature_mapping(triples=20):
         s = random_polynomial_sode(n, seed=seed)
         sub = jet_substitution(s)
         y_P, y_T = curvature_mapping_exprs(s.vars)
-        sc = splitting_curvature(s, check="none")
+        sc = connection(s).torsion
         for i in range(n):
             for j in range(n):
                 symbolic_ok &= zero_symbolically(
@@ -261,8 +261,8 @@ def _expression_pool(minimum=200):
         s = random_polynomial_sode(2, seed=5000 + k)
         pool.extend(s.F)
         pool.extend(_jacobian(s.F, s.coords).flat)
-        sc = splitting_curvature(s, check="none")
-        comp = curvature_components(s)
+        conn = connection(s)
+        sc, comp = conn.torsion, conn.curvature
         pool.extend(sc.P.reshape(-1))
         pool.extend(sc.T.reshape(-1))
         pool.extend(comp.A.reshape(-1))

@@ -171,3 +171,19 @@ def test_problem_raises_only_input_errors(raw):
     except CliInputError:
         return
     assert isinstance(problem.points, JetPoints) and len(problem.points)
+
+
+@pytest.mark.parametrize("task, field", [("classify", "U"),
+                                         ("riemann", "metric")])
+def test_indefinite_matrix_names_its_field(tmp_path, capsys, task, field):
+    """x1 < 0 at some sample: the error names the input the matrix came
+    from, in its location and in its message."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_with((field,), [["x1"]])))
+    assert main([task, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)["error"]
+    assert report["kind"] == "NotPositiveDefinite"
+    assert report["location"] == field
+    assert report["message"].startswith(f"{field} not positive definite at ")
