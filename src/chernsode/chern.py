@@ -10,12 +10,13 @@ and R_abc = e_a Gamma_bc - e_b Gamma_ac + Gamma_bc.Gamma_a - Gamma_ac.Gamma_b
 functions C_ab^d = theta^d([e_a, e_b]), never from the closed formulas.
 
 Each system has one `Connection` (`connection(s)`): the frame and coframe,
-L_X J, Gamma, (P, T), (A, B, R), the structure functions and the torsion and
-curvature arrays, each built on first use and frozen, so the oracles of one
-`verify` share them, and the classifiers, the Riemann bridge and the
-selftest read them too.  The characterization checks the frame components of
-the flow, of L_X J and of the swap E against the constants that the paper's
-construction gives them (`constant_frames`), without simplifying.
+L_X J, Gamma, (P, T), (A, B, R), the structure functions, the torsion and
+curvature arrays and the torsion oracle's deltas, each built on first use and
+frozen, so the oracles of one `verify` share them, and the classifiers, the
+Riemann bridge and the selftest read them too.  The characterization checks
+the frame components of the flow, of L_X J and of the swap E against the
+constants that the paper's construction gives them (`constant_frames`),
+without simplifying.
 """
 
 from __future__ import annotations
@@ -162,6 +163,15 @@ class Connection:
     @cached_property
     def curvature_array(self) -> np.ndarray:
         return _frozen(_curvature_array(self.system, self.gamma))
+
+    @cached_property
+    def torsion_deltas(self) -> tuple:
+        """The torsion oracle's (label, delta) pairs of `_torsion_deltas`
+        against the closed (P, T), shared by `torsion_oracle_residual` and
+        item (4) of `verify_characterization`."""
+        deltas = tuple(_torsion_deltas(self.system, self.torsion))
+        _frozen(*(delta for _, delta in deltas))
+        return deltas
 
 
 def connection(s: SodeSystem) -> Connection:
@@ -450,8 +460,9 @@ def verify_characterization(s: SodeSystem, points, w_shift=0) -> dict:
     r2 = parallel(coframe @ conn.lie_derivative_J @ frame, lxj, "ul")
     r3 = parallel(coframe @ endomorphism_E(s) @ frame, swap, "ul")
 
-    r4 = reduce_residual(_torsion_deltas(s, conn.torsion, shifted), s,
-                         batch)[0]
+    deltas = conn.torsion_deltas if shifted is None \
+        else _torsion_deltas(s, conn.torsion, shifted)
+    r4 = reduce_residual(deltas, s, batch)[0]
 
     return {"flow_parallel": r1, "eigenstructure_parallel": r2,
             "swap_parallel": r3, "torsion_match": r4}
@@ -481,8 +492,8 @@ def verify_structure_identities(s: SodeSystem, points) -> dict:
 def torsion_oracle_residual(s: SodeSystem, points) -> float:
     """max |Tor_definition - torsion blocks| over frame pairs and points;
     NaN when any value is not finite."""
-    deltas = _torsion_deltas(s, connection(s).torsion)
-    return reduce_residual(deltas, s, point_batch(s.vars, points))[0]
+    return reduce_residual(connection(s).torsion_deltas, s,
+                           point_batch(s.vars, points))[0]
 
 
 def curvature_oracle_residual(s: SodeSystem, points) -> float:
@@ -495,11 +506,21 @@ def curvature_oracle_residual(s: SodeSystem, points) -> float:
 def eigenstructure_residual(s: SodeSystem, points) -> float:
     """Distance of the eigenvalues of L_X J to the multiset
     {0, +1 (n times), -1 (n times)}, maximised over points; NaN when L_X J
-    is not finite at some point."""
-    vals = eval_array(connection(s).lie_derivative_J, s.vars.names,
-                      point_batch(s.vars, points))
+    is not finite at some point.
+
+    `lie_derivative_J` builds L_X J lower triangular, so its eigenvalues are
+    its diagonal entries, read here without `eigvals`.  They are the bits
+    LAPACK returns too: for a triangular matrix its balancing step (xGEBAL)
+    isolates every eigenvalue and returns the diagonal as it is.  A matrix
+    with an entry above the diagonal that is not `ZERO` goes through
+    `np.linalg.eigvals`."""
+    lxj = connection(s).lie_derivative_J
+    vals = eval_array(lxj, s.vars.names, point_batch(s.vars, points))
     if not np.isfinite(vals).all():
         return float("nan")
     expected = np.sort(np.array([0.0] + [1.0] * s.n + [-1.0] * s.n))
+    if all(e is ZERO for e in lxj[np.triu_indices(len(lxj), 1)]):
+        diagonal = np.diagonal(vals, axis1=0, axis2=1)    # [point, k]
+        return worst_abs(np.sort(diagonal, axis=-1) - expected)
     eigs = np.linalg.eigvals(vals.transpose(2, 0, 1))
     return worst_abs(np.sort(eigs.real) - expected, eigs.imag)

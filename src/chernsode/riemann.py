@@ -137,6 +137,18 @@ def christoffel(metric: MetricField) -> np.ndarray:
     return gamma
 
 
+def _christoffel(metric: MetricField) -> np.ndarray:
+    """The one Christoffel array of the metric object, built by the
+    module-level `christoffel`, frozen and kept in its instance dict next to
+    its spray; `_spray` and `riemann_tensor` read it."""
+    fields = vars(metric)
+    if "_christoffel" not in fields:
+        gamma = christoffel(metric)
+        gamma.setflags(write=False)
+        fields["_christoffel"] = gamma
+    return fields["_christoffel"]
+
+
 def geodesic_spray(metric: MetricField) -> SodeSystem:
     """x''^h = -Gamma^h_{ij} v^i v^j: quadratic in the velocities and
     time-independent.  The one spray of the metric object, kept in its
@@ -150,7 +162,7 @@ def geodesic_spray(metric: MetricField) -> SodeSystem:
 
 def _spray(metric: MetricField) -> SodeSystem:
     n = metric.n
-    gamma = christoffel(metric)
+    gamma = _christoffel(metric)
     vs = metric.vars.velocities
     F = []
     for h in range(n):
@@ -165,7 +177,7 @@ def riemann_tensor(metric: MetricField) -> np.ndarray:
     R^h_{kij} = d_i Gamma^h_{jk} - d_j Gamma^h_{ik}
                 + Gamma^h_{ir} Gamma^r_{jk} - Gamma^h_{jr} Gamma^r_{ik}."""
     n = metric.n
-    gamma = christoffel(metric)
+    gamma = _christoffel(metric)
     d_gamma = _jacobian(gamma, metric.vars.positions)
     R = expr_array((n, n, n, n))
     for h in range(n):

@@ -110,3 +110,35 @@ def test_spray_and_connection_go_with_the_metric():
     del metric, spray
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_torsion_oracles_share_the_connection_deltas(monkeypatch):
+    """`torsion_oracle_residual` and `verify_characterization` read the
+    connection's torsion deltas: one build for both, the same residual."""
+    calls, _ = _count_builders(monkeypatch)
+    s = random_polynomial_sode(2, seed=9)
+    pts = sample_points(s.vars, 20, seed=9)
+    oracle = torsion_oracle_residual(s, pts)
+    match = verify_characterization(s, pts)["torsion_match"]
+    assert calls["_torsion_deltas"] == 1
+    assert float(oracle).hex() == float(match).hex()
+    deltas = connection(s).torsion_deltas
+    assert all(not delta.flags.writeable for _, delta in deltas)
+
+
+def test_riemann_builds_one_christoffel_array(tmp_path, capsys, monkeypatch):
+    """The spray and the metric curvature of one `riemann` task read one
+    Christoffel array, kept with the metric."""
+    original, calls = riemann.christoffel, []
+
+    def counted(metric):
+        calls.append(metric)
+        return original(metric)
+
+    monkeypatch.setattr(riemann, "christoffel", counted)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(PROBLEM))
+    assert cli.main(["riemann", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    assert not vars(calls[0])["_christoffel"].flags.writeable

@@ -4,9 +4,11 @@
 
 Builds `random_polynomial_sode(N, seed=3000)` and 50 sample points (seed 1)
 with this checkout's `src/`, runs the five oracles of `chernsode verify` in
-its order in this one process, and prints one row per residual:
+its order in this one process, and prints one row per residual, with the
+columns
 
-    oracle  seconds  operations  programs  residual-key  residual  tolerance
+    oracle  seconds  operations  programs  maxrss_mib
+    residual-key  residual  tolerance
 
 followed by the totals.  An oracle's seconds include the symbolic arrays it
 is the first to build.  `operations` counts the instructions of the walks
@@ -14,16 +16,19 @@ the oracle plans (`expressions._plan`), each of which runs once per walk,
 so a node that several entries share counts once; `programs` counts the
 programs `compile_expr` builds (`expressions._Program`), one per entry not
 already in its cache.  Both are counted by wrapping those two names here,
-not by the library.  The script exits 1 when a residual is not
-finite or exceeds the `verify` tolerance of its key (`cli.DEFAULT_TOLERANCES`:
-"oracle" for keys naming an oracle, "identity" for the others), and 0
-otherwise.
+not by the library.  `maxrss_mib` is the peak resident set size of the
+process (`ru_maxrss`) after the oracle, in MiB: the first row that shows
+the final value names the oracle that set the peak.  The script exits 1
+when a residual is not finite or exceeds the `verify` tolerance of its key
+(`cli.DEFAULT_TOLERANCES`: "oracle" for keys naming an oracle, "identity"
+for the others), and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -76,6 +81,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         result = getattr(chern, name)(s, pts)
         seconds = time.perf_counter() - t0
+        maxrss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         total += seconds
         operations += counts["operations"]
         programs += counts["programs"]
@@ -89,9 +95,11 @@ def main(argv=None) -> int:
                                      else "identity"]
             failed += not (math.isfinite(value) and value <= tol)
             print(f"{name:28s} {seconds:8.3f} {counts['operations']:10d} "
-                  f"{counts['programs']:8d} {label:40s} {value:.3e} {tol:g}",
+                  f"{counts['programs']:8d} {maxrss_mib:10.2f} "
+                  f"{label:40s} {value:.3e} {tol:g}",
                   flush=True)
-    print(f"{'total':28s} {total:8.3f} {operations:10d} {programs:8d}")
+    print(f"{'total':28s} {total:8.3f} {operations:10d} {programs:8d} "
+          f"{maxrss_mib:10.2f}")
     return 1 if failed else 0
 
 
