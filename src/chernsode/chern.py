@@ -508,19 +508,16 @@ def eigenstructure_residual(s: SodeSystem, points) -> float:
     {0, +1 (n times), -1 (n times)}, maximised over points; NaN when L_X J
     is not finite at some point.
 
-    `lie_derivative_J` builds L_X J lower triangular, so its eigenvalues are
-    its diagonal entries, read here without `eigvals`.  They are the bits
-    LAPACK returns too: for a triangular matrix its balancing step (xGEBAL)
-    isolates every eigenvalue and returns the diagonal as it is.  A matrix
-    with an entry above the diagonal that is not `ZERO` goes through
-    `np.linalg.eigvals`."""
+    In (t, x, v) coordinates L_X J is lower triangular, and
+    `lie_derivative_J` builds it with `ZERO` above the diagonal, so its
+    eigenvalues are its evaluated diagonal entries, read here without
+    `eigvals`.  An entry above the diagonal that is not `ZERO` means the
+    build is wrong, and the residual is NaN, a failure."""
     lxj = connection(s).lie_derivative_J
     vals = eval_array(lxj, s.vars.names, point_batch(s.vars, points))
-    if not np.isfinite(vals).all():
+    if not np.isfinite(vals).all() or \
+            any(e is not ZERO for e in lxj[np.triu_indices(len(lxj), 1)]):
         return float("nan")
     expected = np.sort(np.array([0.0] + [1.0] * s.n + [-1.0] * s.n))
-    if all(e is ZERO for e in lxj[np.triu_indices(len(lxj), 1)]):
-        diagonal = np.diagonal(vals, axis1=0, axis2=1)    # [point, k]
-        return worst_abs(np.sort(diagonal, axis=-1) - expected)
-    eigs = np.linalg.eigvals(vals.transpose(2, 0, 1))
-    return worst_abs(np.sort(eigs.real) - expected, eigs.imag)
+    diagonal = np.diagonal(vals, axis1=0, axis2=1)    # [point, k]
+    return worst_abs(np.sort(diagonal, axis=-1) - expected)
