@@ -6,9 +6,9 @@ from .expressions import (
     fd_diff, parse, simplify, to_string,
 )
 from .sode import (
-    JetPoint1, OracleMismatch, SodeSystem, SplitCurvature, adapted_frame,
-    dynamical_flow, endomorphism_E, lie_derivative_J, random_polynomial_sode,
-    sample_points, split, splitting_curvature,
+    JetPoint1, OracleMismatch, SodeSystem, adapted_frame, dynamical_flow,
+    endomorphism_E, lie_derivative_J, random_polynomial_sode, sample_points,
+    split, splitting_curvature,
 )
 from .chern import (
     ConnectionData, CurvatureComponents, TorsionTensor, connection,

@@ -30,10 +30,10 @@ import numpy as np
 
 from .expressions import ZERO, Const, add, const, mul, simplify
 from .sode import (
-    HALF, SodeSystem, as_expr, bracket, check_residual, coframe_symbolic,
-    directional, endomorphism_E, eval_array, expr_array, frame_symbolic,
-    lie_derivative_J, point_batch, reduce_residual, splitting_curvature,
-    worst_abs, _jacobian,
+    HALF, SodeSystem, TorsionTensor, as_expr, bracket, check_residual,
+    coframe_symbolic, directional, endomorphism_E, eval_array, expr_array,
+    frame_symbolic, lie_derivative_J, point_batch, reduce_residual,
+    splitting_curvature, worst_abs, _frozen, _jacobian, _kept,
 )
 
 __all__ = [
@@ -53,38 +53,6 @@ class ConnectionData:
 
 
 @dataclass(frozen=True)
-class TorsionTensor:
-    """Torsion blocks in the adapted coframe: dt^omega^j coefficients are
-    -P^h_j, omega^i^omega^j coefficients are -T^h_{ij} and the dt^varpi^i
-    block carries the +1 identity onto X_i."""
-
-    P: np.ndarray
-    T: np.ndarray
-
-    @property
-    def p_block(self):
-        return -np.asarray(self.P, dtype=object)
-
-    def apply(self, X, Y):
-        """Value on two vectors given in adapted-frame components: Expr
-        entries for Expr blocks, floats for float blocks."""
-        n = self.P.shape[0]
-        out = expr_array(2 * n + 1) if self.P.dtype == object else np.zeros(2 * n + 1)
-        for h in range(n):
-            acc = 0.0
-            for j in range(n):
-                acc -= self.P[h, j] * (X[0] * Y[1 + j] - Y[0] * X[1 + j])
-            for i in range(n):
-                for j in range(i + 1, n):
-                    acc -= self.T[h, i, j] * (X[1 + i] * Y[1 + j]
-                                              - X[1 + j] * Y[1 + i])
-            out[1 + n + h] = acc
-        for i in range(n):
-            out[1 + i] = X[0] * Y[1 + n + i] - Y[0] * X[1 + n + i]
-        return out
-
-
-@dataclass(frozen=True)
 class CurvatureComponents:
     """A[h][k][j]: R(X, X_j)X_k = A^h_{kj} X_h; B[h][i][j][k] (antisymmetric
     in i, j): R(X_i, X_j)X_k = B^h_{ijk} X_h; R[h][i][j][k] (symmetric in
@@ -94,13 +62,6 @@ class CurvatureComponents:
     A: np.ndarray
     B: np.ndarray
     R: np.ndarray
-
-
-def _frozen(*arrays):
-    """Make the arrays read-only in place; returns the first."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays[0]
 
 
 class Connection:
@@ -140,10 +101,10 @@ class Connection:
 
     @cached_property
     def torsion(self) -> TorsionTensor:
-        """The closed torsion blocks (P, T) of the splitting curvature."""
+        """The closed torsion blocks (P, T): the splitting curvature."""
         sc = splitting_curvature(self.system, check="none")
         _frozen(sc.P, sc.T)
-        return TorsionTensor(P=sc.P, T=sc.T)
+        return sc
 
     @cached_property
     def curvature(self) -> CurvatureComponents:
@@ -177,10 +138,7 @@ class Connection:
 def connection(s: SodeSystem) -> Connection:
     """The one Connection of the system object `s`, kept in its instance
     dict; an equal but distinct system has its own."""
-    fields = vars(s)
-    if "_connection" not in fields:
-        fields["_connection"] = Connection(s)
-    return fields["_connection"]
+    return _kept(s, "_connection", Connection)
 
 
 # --------------------------------------------------------------------------
@@ -311,15 +269,13 @@ def torsion_definition(s: SodeSystem, a, b, gamma=None) -> np.ndarray:
 
 def torsion(s: SodeSystem, check="numeric", points=None, tol=1e-10,
             seed=2024) -> TorsionTensor:
-    """Assemble the torsion from the splitting curvature; unless check is
-    "none", recompute Tor(e_a, e_b) on every frame pair from the structure
-    equation and compare."""
-    sc = splitting_curvature(s, check="none")
-    tensor = TorsionTensor(P=sc.P, T=sc.T)
+    """The connection's read-only torsion blocks; unless check is "none",
+    compare them with Tor(e_a, e_b) of the structure equation on every frame
+    pair (the connection's torsion deltas)."""
+    conn = connection(s)
     if check != "none":
-        check_residual(_torsion_deltas(s, tensor), s, check, points, tol,
-                       seed)
-    return tensor
+        check_residual(conn.torsion_deltas, s, check, points, tol, seed)
+    return conn.torsion
 
 
 # --------------------------------------------------------------------------
@@ -403,10 +359,11 @@ def _expected_curvature(comp: CurvatureComponents, n, a, b, c):
 
 def curvature(s: SodeSystem, check="numeric", points=None, tol=1e-10,
               seed=2024) -> CurvatureComponents:
-    """Closed-formula (A, B, R); unless check is "none", evaluate the
-    curvature of the connection on every frame triple and compare against
-    the component table, including its vanishing blocks."""
-    comp = curvature_components(s)
+    """The connection's read-only closed-formula (A, B, R); unless check is
+    "none", evaluate the curvature of the connection on every frame triple
+    and compare against the component table, including its vanishing
+    blocks."""
+    comp = connection(s).curvature
     if check != "none":
         check_residual(_curvature_deltas(s, comp), s, check, points, tol, seed)
     return comp

@@ -495,7 +495,10 @@ def task_push(problem: Problem) -> dict:
                             "automorphism")
     s, pts = problem.system, problem.points
     auto = problem.automorphism
-    _on_samples(auto.validate, pts)
+    try:
+        _on_samples(auto.validate, pts)
+    except ValueError as exc:   # a singular Jacobian or a failed round trip
+        raise CliInputError("ValueError", str(exc), "automorphism") from None
     tol = problem.tolerances["identity"]
     res = _on_samples(lambda ps: verify_functoriality(auto, s, ps), pts)
     report = {
@@ -558,12 +561,11 @@ def task_riemann(problem: Problem) -> dict:
     metric = problem.metric
     pts = problem.points
     tol = problem.tolerances
-    cross = cross_check(metric, points=pts)
     try:
+        cross = cross_check(metric, points=pts)
         compat = metric_compatibility(metric, points=pts)
-    except NotPositiveDefinite as exc:
-        raise CliInputError("NotPositiveDefinite", str(exc), "metric") \
-            from None
+    except (SingularMetric, NotPositiveDefinite) as exc:
+        raise CliInputError(type(exc).__name__, str(exc), "metric") from None
     signature = hyperbolic_metric_signature(metric, points=pts)
     spray = geodesic_spray(metric)
     report = {

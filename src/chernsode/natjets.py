@@ -29,15 +29,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chern import TorsionTensor
 from .expressions import (
     Expr, ONE, ZERO, _CACHE_SIZE, add, const, evaluate, free_variables, mul,
     richardson, substitute, var,
 )
 from .sode import (
-    HALF, QUARTER, JetPoint1, SodeSystem, as_expr, directional, eval_array,
-    expr_array, monomials, numeric_rank, splitting_curvature, worst_abs, _diff,
-    _jacobian,
+    HALF, QUARTER, JetPoint1, SodeSystem, TorsionTensor, as_expr, directional,
+    eval_array, expr_array, monomials, numeric_rank, splitting_curvature,
+    worst_abs, _diff, _jacobian,
 )
 
 __all__ = [

@@ -22,7 +22,7 @@ from .expressions import (
 )
 from .sode import (
     HALF, SodeSystem, eval_array, expr_array, max_abs, point_batch,
-    sample_points, zero_symbolically, _det, _jacobian,
+    sample_points, zero_symbolically, _det, _frozen, _jacobian, _kept,
 )
 from .chern import connection
 from .classify import (
@@ -141,12 +141,7 @@ def _christoffel(metric: MetricField) -> np.ndarray:
     """The one Christoffel array of the metric object, built by the
     module-level `christoffel`, frozen and kept in its instance dict next to
     its spray; `_spray` and `riemann_tensor` read it."""
-    fields = vars(metric)
-    if "_christoffel" not in fields:
-        gamma = christoffel(metric)
-        gamma.setflags(write=False)
-        fields["_christoffel"] = gamma
-    return fields["_christoffel"]
+    return _kept(metric, "_christoffel", lambda m: _frozen(christoffel(m)))
 
 
 def geodesic_spray(metric: MetricField) -> SodeSystem:
@@ -154,10 +149,7 @@ def geodesic_spray(metric: MetricField) -> SodeSystem:
     time-independent.  The one spray of the metric object, kept in its
     instance dict (so its connection is shared too); an equal but distinct
     metric has its own."""
-    fields = vars(metric)
-    if "_spray" not in fields:
-        fields["_spray"] = _spray(metric)
-    return fields["_spray"]
+    return _kept(metric, "_spray", _spray)
 
 
 def _spray(metric: MetricField) -> SodeSystem:
@@ -196,21 +188,10 @@ def riemann_tensor(metric: MetricField) -> np.ndarray:
 # cross-check of the four contraction identities
 # --------------------------------------------------------------------------
 
-def cross_check(metric: MetricField, points=None, count=50, seed=2024) -> dict:
-    """Residual maxima of the four frozen contraction identities between the
-    spray's component arrays and the metric curvature R[h][k][i][j]:
-
-        T^k_{ij}  = R[k][r][j][i] v^r
-        P^h_j     = R[h][s][j][r] v^r v^s
-        A^h_{kj}  = R[h][k][r][j] v^r
-        B^h_{ijk} = R[h][k][i][j]
-
-    Calibrated against the flat metric, the round sphere and a random
-    polynomial metric (all permutations and signs tried; these four are the
-    unique matches up to the antisymmetry of the last two slots)."""
-    s = geodesic_spray(metric)
-    if points is None:
-        points = sample_points(s.vars, count, seed, metric.sample_box())
+def _cross_deltas(metric: MetricField, s: SodeSystem) -> dict:
+    """The residual arrays of the four frozen contraction identities of
+    `cross_check` between the metric and its spray `s`, keyed by their
+    report names."""
     n = metric.n
     conn = connection(s)
     sc, comp = conn.torsion, conn.curvature
@@ -248,26 +229,34 @@ def cross_check(metric: MetricField, points=None, count=50, seed=2024) -> dict:
                     res_B[h, i, j, k] = add(comp.B[h, i, j, k],
                                             mul(-1, R[h, k, i, j]))
 
-    return {
-        "eq_cross_T": max_abs(res_T, s, points),
-        "eq_cross_P": max_abs(res_P, s, points),
-        "eq_cross_A": max_abs(res_A, s, points),
-        "eq_cross_B": max_abs(res_B, s, points),
-    }
+    return {"eq_cross_T": res_T, "eq_cross_P": res_P, "eq_cross_A": res_A,
+            "eq_cross_B": res_B}
+
+
+def cross_check(metric: MetricField, points=None, count=50, seed=2024) -> dict:
+    """Residual maxima of the four frozen contraction identities between the
+    spray's component arrays and the metric curvature R[h][k][i][j]:
+
+        T^k_{ij}  = R[k][r][j][i] v^r
+        P^h_j     = R[h][s][j][r] v^r v^s
+        A^h_{kj}  = R[h][k][r][j] v^r
+        B^h_{ijk} = R[h][k][i][j]
+
+    Calibrated against the flat metric, the round sphere and a random
+    polynomial metric (all permutations and signs tried; these four are the
+    unique matches up to the antisymmetry of the last two slots)."""
+    s = geodesic_spray(metric)
+    if points is None:
+        points = sample_points(s.vars, count, seed, metric.sample_box())
+    return {key: max_abs(res, s, points)
+            for key, res in _cross_deltas(metric, s).items()}
 
 
 def cross_check_symbolic(metric: MetricField) -> bool:
     """Simplify-to-zero form of the B identity (the generating one); the
     other three follow from it by the contractions tested numerically."""
-    comp = connection(geodesic_spray(metric)).curvature
-    R = riemann_tensor(metric)
-    n = metric.n
-    for idx in np.ndindex((n, n, n, n)):
-        h, i, j, k = idx
-        if not zero_symbolically(add(comp.B[h, i, j, k],
-                                     mul(-1, R[h, k, i, j]))):
-            return False
-    return True
+    res_B = _cross_deltas(metric, geodesic_spray(metric))["eq_cross_B"]
+    return all(map(zero_symbolically, res_B.flat))
 
 
 # --------------------------------------------------------------------------

@@ -79,8 +79,7 @@ class JetPoints(Sequence):
             raise ValueError("jet point rows must have shape (count, 2n+1)")
         if not np.isfinite(rows).all():
             raise ValueError("jet point components must be finite")
-        cols = np.array(rows.T, order="C")
-        cols.setflags(write=False)
+        cols = _frozen(np.array(rows.T, order="C"))
         object.__setattr__(self, "rows", cols.T)
         object.__setattr__(self, "columns", tuple(cols))
 
@@ -166,12 +165,37 @@ class FrameAtPoint:
 
 
 @dataclass(frozen=True)
-class SplitCurvature:
-    """Curvature of the splitting: P (n x n) and T (n x n x n), T[k][i][j]
-    antisymmetric in (i, j)."""
+class TorsionTensor:
+    """Curvature of the splitting, P (n x n) and T (n x n x n) with
+    T[k][i][j] antisymmetric in (i, j), read as the torsion blocks of the
+    Chern connection in the adapted coframe: dt^omega^j coefficients are
+    -P^h_j, omega^i^omega^j coefficients are -T^h_{ij} and the dt^varpi^i
+    block carries the +1 identity onto X_i."""
 
     P: np.ndarray
     T: np.ndarray
+
+    @property
+    def p_block(self):
+        return -np.asarray(self.P, dtype=object)
+
+    def apply(self, X, Y):
+        """Value on two vectors given in adapted-frame components: Expr
+        entries for Expr blocks, floats for float blocks."""
+        n = self.P.shape[0]
+        out = expr_array(2 * n + 1) if self.P.dtype == object else np.zeros(2 * n + 1)
+        for h in range(n):
+            acc = 0.0
+            for j in range(n):
+                acc -= self.P[h, j] * (X[0] * Y[1 + j] - Y[0] * X[1 + j])
+            for i in range(n):
+                for j in range(i + 1, n):
+                    acc -= self.T[h, i, j] * (X[1 + i] * Y[1 + j]
+                                              - X[1 + j] * Y[1 + i])
+            out[1 + n + h] = acc
+        for i in range(n):
+            out[1 + i] = X[0] * Y[1 + n + i] - Y[0] * X[1 + n + i]
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -186,6 +210,23 @@ def expr_array(shape) -> np.ndarray:
     out = np.empty(shape, dtype=object)
     out[...] = ZERO
     return out
+
+
+def _frozen(*arrays):
+    """Make the arrays read-only in place; returns the first."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0]
+
+
+def _kept(obj, key, build):
+    """build(obj), built on first use and kept in the instance dict of the
+    object `obj` under `key`, so it goes with `obj`; an equal but distinct
+    object keeps its own."""
+    fields = vars(obj)
+    if key not in fields:
+        fields[key] = build(obj)
+    return fields[key]
 
 
 def _det(m) -> Expr:
@@ -520,7 +561,7 @@ def splitting_T(s: SodeSystem) -> np.ndarray:
 
 
 def splitting_curvature(s: SodeSystem, check="numeric", points=None,
-                        tol=1e-10, seed=2024) -> SplitCurvature:
+                        tol=1e-10, seed=2024) -> TorsionTensor:
     """Closed-formula (P, T); unless check == "none", re-derives both from the
     Lie brackets of the frame fields and raises OracleMismatch on disagreement.
 
@@ -553,7 +594,7 @@ def splitting_curvature(s: SodeSystem, check="numeric", points=None,
                     expected[1 + n + k] = T[k, i, j]
                 blocks.append((f"splitting oracle [X_{i}, X_{j}]", b - expected))
         check_residual(blocks, s, check, points, tol, seed)
-    return SplitCurvature(P=P, T=T)
+    return TorsionTensor(P=P, T=T)
 
 
 # --------------------------------------------------------------------------

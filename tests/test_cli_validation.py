@@ -187,3 +187,28 @@ def test_indefinite_matrix_names_its_field(tmp_path, capsys, task, field):
     assert report["kind"] == "NotPositiveDefinite"
     assert report["location"] == field
     assert report["message"].startswith(f"{field} not positive definite at ")
+
+
+
+@pytest.mark.parametrize("task, raw, field, kind, message", [
+    ("push", _with(("automorphism",), {"phi": ["x1 + t"], "inverse": ["x1"]}),
+     "automorphism", "ValueError", "inverse fails round-trip at "),
+    ("push", _with(("automorphism",), {"phi": ["t"]}),
+     "automorphism", "ValueError", "singular Jacobian at "),
+    ("riemann", dict(BASE, dimension=2, F=["0", "0"],
+                     metric=[["x1", "x1"], ["x1", "x1"]]),
+     "metric", "SingularMetric", "metric determinant is identically zero"),
+], ids=["round-trip", "singular-jacobian", "singular-metric"])
+def test_unusable_automorphism_or_metric_names_its_field(
+        tmp_path, capsys, task, raw, field, kind, message):
+    """A failed round trip, a singular Jacobian and a metric whose
+    determinant is identically zero: the error names the input."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(raw))
+    assert main([task, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)["error"]
+    assert report["kind"] == kind
+    assert report["location"] == field
+    assert report["message"].startswith(message)

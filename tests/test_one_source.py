@@ -142,3 +142,32 @@ def test_riemann_builds_one_christoffel_array(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert len(calls) == 1
     assert not vars(calls[0])["_christoffel"].flags.writeable
+
+
+def test_splitting_curvature_is_the_torsion_record():
+    """One (P, T) record: the splitting curvature is the connection's
+    `TorsionTensor`, and the connection keeps the record it returns."""
+    s = random_polynomial_sode(2, seed=11)
+    sc = sode.splitting_curvature(s, check="none")
+    assert isinstance(sc, chern.TorsionTensor)
+    assert sode.TorsionTensor is chern.TorsionTensor
+    assert type(connection(s).torsion) is chern.TorsionTensor
+
+
+@pytest.mark.parametrize("name", ["torsion", "curvature"])
+def test_checked_tensors_are_the_connection_fields(name):
+    s = random_polynomial_sode(2, seed=12)
+    assert getattr(chern, name)(s, check="numeric") \
+        is getattr(connection(s), name)
+
+
+def test_torsion_check_and_oracle_build_once(monkeypatch):
+    """`torsion(s, "numeric")` checks the connection's torsion deltas, so the
+    torsion oracle after it builds nothing again."""
+    calls, _ = _count_builders(monkeypatch)
+    s = random_polynomial_sode(2, seed=13)
+    pts = sample_points(s.vars, 10, seed=13)
+    chern.torsion(s, "numeric")
+    torsion_oracle_residual(s, pts)
+    assert calls["splitting_curvature"] == 1
+    assert calls["_torsion_deltas"] == 1
