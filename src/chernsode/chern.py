@@ -10,12 +10,12 @@ and R_abc = e_a Gamma_bc - e_b Gamma_ac + Gamma_bc.Gamma_a - Gamma_ac.Gamma_b
 functions C_ab^d = theta^d([e_a, e_b]), never from the closed formulas.
 
 Each system has one `Connection` (`connection(s)`): the frame and coframe,
-L_X J, Gamma, (P, T), (A, B, R), the structure functions, the torsion and
-curvature arrays and the torsion oracle's deltas, each built on first use and
-frozen, so the oracles of one `verify` share them, and the classifiers, the
-Riemann bridge and the selftest read them too.  The characterization checks
-the frame components of the flow, of L_X J and of the swap E against the
-constants that the paper's construction gives them (`constant_frames`),
+L_X J, Gamma, (P, T), dP/dv, (A, B, R), the structure functions, the torsion
+and curvature arrays and the torsion oracle's deltas, each built on first use
+and frozen, so the oracles of one `verify` share them, and the classifiers,
+the Riemann bridge and the selftest read them too.  The characterization
+checks the frame components of the flow, of L_X J and of the swap E against
+the constants that the paper's construction gives them (`constant_frames`),
 without simplifying.
 """
 
@@ -33,7 +33,7 @@ from .sode import (
     HALF, SodeSystem, TorsionTensor, as_expr, bracket, check_residual,
     coframe_symbolic, directional, endomorphism_E, eval_array, expr_array,
     frame_symbolic, lie_derivative_J, point_batch, reduce_residual,
-    splitting_curvature, worst_abs, _frozen, _jacobian, _kept,
+    splitting_curvature, worst_abs, F_partials, _frozen, _jacobian, _kept,
 )
 
 __all__ = [
@@ -107,6 +107,12 @@ class Connection:
         return sc
 
     @cached_property
+    def dP(self) -> np.ndarray:
+        """dP[h, k, j] = dP^h_k/dv^j, of the closed P; `curvature_components`
+        and `verify_structure_identities` read it."""
+        return _frozen(_jacobian(self.torsion.P, self.system.vars.velocities))
+
+    @cached_property
     def curvature(self) -> CurvatureComponents:
         """The closed curvature table (A, B, R)."""
         comp = curvature_components(self.system)
@@ -146,9 +152,8 @@ def connection(s: SodeSystem) -> Connection:
 # --------------------------------------------------------------------------
 
 def connection_data(s: SodeSystem) -> ConnectionData:
-    vels = s.vars.velocities
-    Fv = _jacobian(s.F, vels)
-    return ConnectionData(W=HALF * Fv, V=HALF * _jacobian(Fv, vels))
+    return ConnectionData(W=HALF * F_partials(s, "v"),
+                          V=HALF * F_partials(s, "vv"))
 
 
 def frame_christoffels(s: SodeSystem, w_shift=0) -> np.ndarray:
@@ -323,15 +328,13 @@ def _curvature_deltas(s: SodeSystem, comp) -> list:
 def curvature_components(s: SodeSystem) -> CurvatureComponents:
     """A^h_{kj} = (1/2)(T^h_{jk} - dP^h_k/dv^j - dP^h_j/dv^k),
     B^h_{ijk} = -dT^h_{ij}/dv^k and R^h_{ijk} = (1/2) d3F^h/dv^i dv^j dv^k,
-    from the connection's (P, T)."""
-    sc = connection(s).torsion
-    vels = s.vars.velocities
-    dP = _jacobian(sc.P, vels)
-    Fvv = _jacobian(_jacobian(s.F, vels), vels)
+    from the connection's (P, T) and dP/dv."""
+    conn = connection(s)
+    sc, dP = conn.torsion, conn.dP
     return CurvatureComponents(
         A=HALF * (sc.T.transpose(0, 2, 1) - dP - dP.transpose(0, 2, 1)),
-        B=-_jacobian(sc.T, vels),
-        R=HALF * _jacobian(Fvv, vels))
+        B=-_jacobian(sc.T, s.vars.velocities),
+        R=HALF * F_partials(s, "vvv"))
 
 
 def curvature_definition(s: SodeSystem, a, b, c, gamma=None) -> np.ndarray:
@@ -431,8 +434,7 @@ def verify_structure_identities(s: SodeSystem, points) -> dict:
     (ii) 3T^i_{kj} = dP^i_j/dv^k - dP^i_k/dv^j."""
     n = s.n
     conn = connection(s)
-    sc = conn.torsion
-    dP = _jacobian(sc.P, s.vars.velocities)    # [h, k, j]: dP^h_k/dv^j
+    sc, dP = conn.torsion, conn.dP              # dP[h, k, j]: dP^h_k/dv^j
     R = conn.curvature_array
     batch = point_batch(s.vars, points)
 

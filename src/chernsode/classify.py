@@ -29,7 +29,7 @@ from .chern import (
 from .sode import (
     JetPoint1, SodeSystem, as_expr, eval_array, expr_array, flow_derivative,
     numeric_rank, point_batch, reduce_residual, sample_points, worst_abs,
-    zero_symbolically, _det, _jacobian,
+    zero_symbolically, F_partials, _det, _jacobian,
 )
 
 __all__ = [
@@ -193,7 +193,7 @@ def unimodular_test(s: SodeSystem, mode="auto", points=None, tol=1e-10):
         mode = "symbolic" if all(is_polynomial(f) for f in s.F) else "numeric"
     n = s.n
     vels = s.vars.velocities
-    D = add(*np.diagonal(_jacobian(s.F, vels)))
+    D = add(*np.diagonal(F_partials(s, "v")))
     F_i = [simplify(e) for e in _jacobian(D, vels)]
     F_0 = simplify(add(D, *[mul(-1, F_i[i], var(vels[i])) for i in range(n)]))
 

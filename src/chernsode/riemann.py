@@ -99,11 +99,9 @@ def sphere_metric(vars) -> MetricField:
 # --------------------------------------------------------------------------
 
 def _inverse(metric: MetricField):
-    """Adjugate / determinant; supported for n <= 3 (the symbolic sizes the
-    CLI exercises); raises SingularMetric when det simplifies to zero."""
+    """Adjugate / determinant, by the Leibniz expansions of `_det`, at every
+    n; raises SingularMetric when det simplifies to zero."""
     n = metric.n
-    if n > 3:
-        raise SingularMetric("symbolic inversion supported for n <= 3")
     m = metric.matrix()
     det = _det(m)
     if zero_symbolically(det):

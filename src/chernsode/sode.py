@@ -263,6 +263,19 @@ def _jacobian(X, coords) -> np.ndarray:
     return out
 
 
+def F_partials(s: SodeSystem, roles: str) -> np.ndarray:
+    """The partials of F along the letters of `roles`, each "x" (the
+    positions) or "v" (the velocities), in that order: "v" is F_v[i, j] =
+    dF^i/dv^j and "xv" is F_xv[k, i, j] = d2F^k/dx^i dv^j.  Each array is
+    the `_jacobian` of the one a letter shorter, frozen and kept with the
+    system object, so it is built once per system."""
+    def build(s):
+        X = F_partials(s, roles[:-1]) if len(roles) > 1 else s.F
+        axis = s.vars.velocities if roles[-1] == "v" else s.vars.positions
+        return _frozen(_jacobian(X, axis))
+    return _kept(s, "_F_" + roles, build)
+
+
 def directional(field, coords, f: Expr) -> Expr:
     """Derivative sum_c field[c] df/dcoords[c] of f along a coordinate vector
     field, in coordinate order; a component that `is ZERO` costs no `_diff`."""
@@ -441,7 +454,7 @@ def frame_symbolic(s: SodeSystem) -> np.ndarray:
     n = s.n
     M = expr_array((2 * n + 1, 2 * n + 1))
     M[:, 0] = dynamical_flow(s)
-    M[1 + n:, 1:1 + n] = HALF * _jacobian(s.F, s.vars.velocities)
+    M[1 + n:, 1:1 + n] = HALF * F_partials(s, "v")
     for i in range(n):
         M[1 + i, 1 + i] = const(1)
         M[1 + n + i, 1 + n + i] = const(1)
@@ -452,7 +465,7 @@ def coframe_symbolic(s: SodeSystem) -> np.ndarray:
     """Rows: dt, omega^i = dx^i - v^i dt,
     varpi^i = dv^i - F^i dt - (1/2)(dF^i/dv^j)(dx^j - v^j dt)."""
     n = s.n
-    Fv = _jacobian(s.F, s.vars.velocities)
+    Fv = F_partials(s, "v")
     M = expr_array((2 * n + 1, 2 * n + 1))
     M[0, 0] = const(1)
     M[1 + n:, 1:1 + n] = -HALF * Fv
@@ -478,7 +491,7 @@ def lie_derivative_J(s: SodeSystem) -> np.ndarray:
     """Coordinate-basis matrix of the Lie derivative of the fundamental
     tensor J = omega^i (x) d/dv^i along the dynamical flow."""
     n = s.n
-    Fv = _jacobian(s.F, s.vars.velocities)
+    Fv = F_partials(s, "v")
     M = expr_array((2 * n + 1, 2 * n + 1))
     M[1 + n:, 1:1 + n] = -Fv
     for i in range(n):
@@ -526,8 +539,7 @@ def endomorphism_E(s: SodeSystem) -> np.ndarray:
 def splitting_P(s: SodeSystem) -> np.ndarray:
     """P^i_j = (1/2) X(dF^i/dv^j) - dF^i/dx^j - (1/4)(dF^k/dv^j)(dF^i/dv^k)."""
     n = s.n
-    Fv = _jacobian(s.F, s.vars.velocities)
-    Fx = _jacobian(s.F, s.vars.positions)
+    Fv, Fx = F_partials(s, "v"), F_partials(s, "x")
     P = expr_array((n, n))
     for i in range(n):
         for j in range(n):
@@ -541,10 +553,7 @@ def splitting_T(s: SodeSystem) -> np.ndarray:
     """T^k_{ij}: antisymmetrised mixed second derivatives plus the quadratic
     first-derivative correction."""
     n = s.n
-    vels = s.vars.velocities
-    Fv = _jacobian(s.F, vels)
-    Fvv = _jacobian(Fv, vels)
-    Fxv = _jacobian(_jacobian(s.F, s.vars.positions), vels)
+    Fv, Fvv, Fxv = (F_partials(s, roles) for roles in ("v", "vv", "xv"))
     T = expr_array((n, n, n))
     for k in range(n):
         for i in range(n):
@@ -572,7 +581,7 @@ def splitting_curvature(s: SodeSystem, check="numeric", points=None,
     P, T = splitting_P(s), splitting_T(s)
     if check != "none":
         coords = s.coords
-        Fv = _jacobian(s.F, s.vars.velocities)
+        Fv = F_partials(s, "v")
         frame = frame_symbolic(s)
         X_sigma = frame[:, 0]
         X_cols = [frame[:, 1 + i] for i in range(n)]

@@ -160,3 +160,41 @@ class TestMetricCompatibility:
 
     def test_flat_n1_signature(self):
         assert hyperbolic_metric_signature(flat_metric(V1)) == (2, 1)
+
+
+# --------------------------------------------------------------------------
+# every dimension: the metric inverse expands any n
+# --------------------------------------------------------------------------
+
+V4 = VarSet.default(4)
+DIAG4 = [["1 + x1^2", "0", "0", "0"], ["0", "1", "0", "0"],
+         ["0", "0", "1 + x2^2", "0"], ["0", "0", "0", "1"]]
+
+
+def test_cross_check_at_dimension_four():
+    metric = MetricField(vars=V4, g=[[parse(e, V4) for e in row]
+                                     for row in DIAG4])
+    res = cross_check(metric, count=8)
+    assert sorted(res) == ["eq_cross_A", "eq_cross_B", "eq_cross_P",
+                           "eq_cross_T"]
+    assert all(np.isfinite(v) and v < 1e-12 for v in res.values())
+
+
+def test_cli_riemann_at_dimension_four(tmp_path, capsys):
+    import json
+
+    from chernsode.cli import main
+
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "dimension": 4, "F": ["0"] * 4, "metric": DIAG4,
+        "samples": {"mode": "random", "count": 5, "seed": 3}}))
+    assert main(["riemann", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    checks = [*report["cross_formulas"].values(),
+              *report["metric_compatibility"].values()]
+    assert checks and all(c["pass"] is True for c in checks)
+    assert report["companion_signature"] == [5, 4]
+    assert report["pass"] is True

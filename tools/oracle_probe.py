@@ -7,8 +7,8 @@ with this checkout's `src/`, runs the five oracles of `chernsode verify` in
 its order in this one process, and prints one row per residual, with the
 columns
 
-    oracle  seconds  operations  programs  maxrss_mib
-    residual-key  residual  tolerance
+    oracle  seconds  operations  programs  diff_lookups  diff_misses
+    maxrss_mib  residual-key  residual  tolerance
 
 followed by the totals.  An oracle's seconds include the symbolic arrays it
 is the first to build.  `operations` counts the instructions of the walks
@@ -16,7 +16,11 @@ the oracle plans (`expressions._plan`), each of which runs once per walk,
 so a node that several entries share counts once; `programs` counts the
 programs `compile_expr` builds (`expressions._Program`), one per entry not
 already in its cache.  Both are counted by wrapping those two names here,
-not by the library.  `maxrss_mib` is the peak resident set size of the
+not by the library.  `diff_lookups` and `diff_misses` are the lookups of
+the `sode._diff` LRU during the oracle and the ones it had to compute, read
+from `cache_info()` deltas: the lookups count the derivative requests, and
+the misses the derivatives no earlier request had built (or that the LRU
+had evicted).  `maxrss_mib` is the peak resident set size of the
 process (`ru_maxrss`) after the oracle, in MiB: the first row that shows
 the final value names the oracle that set the peak.  The script exits 1
 when a residual is not finite or exceeds the `verify` tolerance of its key
@@ -35,7 +39,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from chernsode import chern, expressions  # noqa: E402
+from chernsode import chern, expressions, sode  # noqa: E402
 from chernsode.cli import DEFAULT_TOLERANCES  # noqa: E402
 from chernsode.sode import random_polynomial_sode, sample_points  # noqa: E402
 
@@ -75,16 +79,22 @@ def main(argv=None) -> int:
     pts = sample_points(s.vars, 50, 1)
     counts = dict.fromkeys(("operations", "programs"), 0)
     _count(counts)
-    failed, total, operations, programs = 0, 0.0, 0, 0
+    failed, total, operations, programs, lookups, misses = 0, 0.0, 0, 0, 0, 0
     for name, key in ORACLES:
         counts.update(operations=0, programs=0)
+        before = sode._diff.cache_info()
         t0 = time.perf_counter()
         result = getattr(chern, name)(s, pts)
         seconds = time.perf_counter() - t0
+        after = sode._diff.cache_info()
+        diff_misses = after.misses - before.misses
+        diff_lookups = after.hits - before.hits + diff_misses
         maxrss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         total += seconds
         operations += counts["operations"]
         programs += counts["programs"]
+        lookups += diff_lookups
+        misses += diff_misses
         if isinstance(result, dict):
             pattern = key or "{}"
             rows = [(pattern.format(k), v) for k, v in result.items()]
@@ -95,11 +105,12 @@ def main(argv=None) -> int:
                                      else "identity"]
             failed += not (math.isfinite(value) and value <= tol)
             print(f"{name:28s} {seconds:8.3f} {counts['operations']:10d} "
-                  f"{counts['programs']:8d} {maxrss_mib:10.2f} "
+                  f"{counts['programs']:8d} {diff_lookups:12d} "
+                  f"{diff_misses:11d} {maxrss_mib:10.2f} "
                   f"{label:40s} {value:.3e} {tol:g}",
                   flush=True)
     print(f"{'total':28s} {total:8.3f} {operations:10d} {programs:8d} "
-          f"{maxrss_mib:10.2f}")
+          f"{lookups:12d} {misses:11d} {maxrss_mib:10.2f}")
     return 1 if failed else 0
 
 
