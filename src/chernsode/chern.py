@@ -13,10 +13,10 @@ Each system has one `Connection` (`connection(s)`): the frame and coframe,
 L_X J, Gamma, (P, T), dP/dv, (A, B, R), the structure functions, the torsion
 and curvature arrays and the torsion oracle's deltas, each built on first use
 and frozen, so the oracles of one `verify` share them, and the classifiers,
-the Riemann bridge and the selftest read them too.  The characterization
-checks the frame components of the flow, of L_X J and of the swap E against
-the constants that the paper's construction gives them (`constant_frames`),
-without simplifying.
+the Riemann bridge, `natjets` and the selftest read them too.  The
+characterization checks the frame components of the flow, of L_X J and of
+the swap E against the constants that the paper's construction gives them
+(`constant_frames`), without simplifying.
 """
 
 from __future__ import annotations
@@ -62,6 +62,15 @@ class CurvatureComponents:
     A: np.ndarray
     B: np.ndarray
     R: np.ndarray
+
+    def endomorphisms(self) -> list:
+        """The labelled endomorphisms A_j, B_ij (i<j) and R_hk (h<=k)."""
+        n = self.A.shape[0]
+        return [(f"A[{j}]", self.A[:, :, j]) for j in range(n)] \
+            + [(f"B[{i}][{j}]", self.B[:, i, j, :])
+               for i in range(n) for j in range(i + 1, n)] \
+            + [(f"R[{h}][{k}]", self.R[:, h, k, :])
+               for h in range(n) for k in range(h, n)]
 
 
 class Connection:
@@ -302,10 +311,10 @@ def _curvature_array(s: SodeSystem, gamma) -> np.ndarray:
     n2 = gamma.shape[0]
     conn = connection(s)
     C, frame = conn.structure_functions, conn.frame
-    d_gamma = expr_array((n2,) * 4)     # [a, b, c, d]: e_a(Gamma[b, c, d])
+    d_gamma = expr_array((n2,) * 4)  # [a, b, c, d]: e_a Gamma[b, c, d], a != b
     for idx in np.ndindex(gamma.shape):
-        if gamma[idx] is not ZERO:
-            for a in range(n2):
+        for a in range(n2):
+            if a != idx[0] and gamma[idx] is not ZERO:
                 d_gamma[(a,) + idx] = directional(frame[:, a], s.coords,
                                                   gamma[idx])
     R = expr_array((n2,) * 4)

@@ -147,18 +147,7 @@ def special_coordinate_conditions(s: SodeSystem, mode="symbolic",
 def curvature_span_matrices(s: SodeSystem):
     """The labelled n x n curvature endomorphisms spanning the candidate
     holonomy algebra: A_j, B_{ij} (i<j), R_{hk} (h<=k)."""
-    n = s.n
-    comp = curvature_components(s)
-    out = []
-    for j in range(n):
-        out.append((f"A[{j}]", comp.A[:, :, j]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append((f"B[{i}][{j}]", comp.B[:, i, j, :]))
-    for h in range(n):
-        for k in range(h, n):
-            out.append((f"R[{h}][{k}]", comp.R[:, h, k, :]))
-    return out
+    return curvature_components(s).endomorphisms()
 
 
 def holonomy_spans(s: SodeSystem, points, tol=1e-8) -> list:
@@ -266,21 +255,16 @@ def orthogonal_residual(s: SodeSystem, U, points, check_spd=True) -> dict:
         blocks.append((k, dU[:, :, k] + UV + UV.T))
     out["eq_ecuacion2"] = reduce_residual(blocks, s, batch)[0]
 
-    comp = connection(s).curvature
-    u_vals = eval_array(U, s.vars.names, batch)
-    for label, blocks in (
-            ("eq_UABR_A", [comp.A[:, :, j] for j in range(n)]),
-            ("eq_UABR_B", [comp.B[:, i, j, :] for i in range(n)
-                           for j in range(i + 1, n)]),
-            ("eq_UABR_R", [comp.R[:, i, j, :] for i in range(n)
-                           for j in range(i, n)])):
-        deltas = []
-        for M in blocks:
-            m_vals = eval_array(M, s.vars.names, batch)
-            for k in range(len(points)):
-                u, m = u_vals[:, :, k], m_vals[:, :, k]
-                deltas.append(u @ m + m.T @ u)
-        out[label] = worst_abs(*deltas)
+    # U and every endomorphism M of the connection's (A, B, R) in one walk
+    mats = connection(s).curvature.endomorphisms()
+    u_vals, *m_vals = eval_array(np.stack([U] + [M for _, M in mats]),
+                                 s.vars.names, batch)
+    deltas = {f"eq_UABR_{c}": [] for c in "ABR"}
+    for (label, _), vals in zip(mats, m_vals):
+        for k in range(len(points)):
+            u, m = u_vals[:, :, k], vals[:, :, k]
+            deltas["eq_UABR_" + label[0]].append(u @ m + m.T @ u)
+    out.update((label, worst_abs(*d)) for label, d in deltas.items())
     return out
 
 

@@ -35,9 +35,10 @@ from .expressions import (
 )
 from .sode import (
     HALF, QUARTER, JetPoint1, SodeSystem, TorsionTensor, as_expr, directional,
-    eval_array, expr_array, monomials, numeric_rank, splitting_curvature,
-    worst_abs, _diff, _jacobian,
+    eval_array, expr_array, monomials, numeric_rank, worst_abs, _diff,
+    _jacobian,
 )
+from .chern import connection
 
 __all__ = [
     "VerticalAutomorphism", "SodeJet2", "CurvatureValue", "ProlongedField",
@@ -340,20 +341,24 @@ def generic_prolongation(vars):
     n = js.n
     t, xs, vs = js.dirs[0], js.dirs[1:1 + n], js.dirs[1 + n:]
 
-    def D(f, d):
-        """Total derivative: base partial + jet chain + placeholder chain.
-        Placeholders iterated in sorted order so the term order (and hence
-        float rounding downstream) is independent of hash seeding."""
-        coords, field = [d], [ONE]
+    step = {d: {d: ONE} for d in js.dirs}
+    for d, table in step.items():
         for i in range(n):
-            coords += [js.values[i], *[js.first[(i, e)] for e in js.dirs]]
-            field += [var(js.first[(i, d)]),
-                      *[var(js.second_name(i, e, d)) for e in js.dirs]]
-        for name in sorted(free_variables(f)):
-            if d in ujet.chain.get(name, ()):
-                coords.append(name)
-                field.append(var(ujet.chain[name][d]))
-        return directional(field, coords, f)
+            table[js.values[i]] = var(js.first[(i, d)])
+            table.update((js.first[(i, e)], var(js.second_name(i, e, d)))
+                         for e in js.dirs)
+        table.update((name, var(ujet.chain[name][d]))
+                     for name in sorted(ujet.chain) if d in ujet.chain[name])
+
+    def D(f, d):
+        """Total derivative along step[d], built once per direction: the
+        base partial, the jet chain (a_i -> a_{i,d}, a_{i,e} -> a_{i,ed}),
+        then the placeholder chain in sorted name order, so that the term
+        order (and float rounding downstream) is independent of hash
+        seeding; only along the coordinates free in f."""
+        free = free_variables(f)
+        coords = [c for c in step[d] if c in free]
+        return directional([step[d][c] for c in coords], coords, f)
 
     comp = {}
     u = [ujet.placeholder(i) for i in range(n)]
@@ -432,10 +437,10 @@ def _equivariance_lhs_exprs(vars):
     ujet, generic = generic_prolongation(vars)
     y_P, y_T = curvature_mapping_exprs(vars)
 
-    field = [generic.get(name, ZERO) for name in js.all_coords]
-
     def field_apply(y):
-        return directional(field, js.all_coords, as_expr(y))
+        free = free_variables(y)
+        coords = [c for c in js.all_coords if c in free]
+        return directional([generic.get(c, ZERO) for c in coords], coords, y)
 
     n = js.n
     lhs_P = expr_array((n, n))
@@ -818,7 +823,7 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
     flow_jac = np.array([_total_time(e, vars) for e in jac.flat],
                         dtype=object).reshape(n, n)
     hess = _jacobian(jac, vars.positions)
-    sc = splitting_curvature(s, check="none")
+    sc = connection(s).torsion
 
     deltas = {k: [] for k in ("eq_partialF", "eq_Partial2F", "frame_push",
                               "torsion_equivariance", "curvature_equivariance",
@@ -826,7 +831,8 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
     dM = _chain_rule_exprs(auto, s)[4]     # Jacobian of the 1-jet map
     for p in points:
         env, values = p.env(vars), p.row
-        jx = eval_array(jac, vars.names, values)
+        jmap = eval_array(dM, vars.names, values)
+        jx = jmap[1:1 + n, 1:1 + n]          # the automorphism's Jacobian
         jx_inv = np.linalg.inv(jx)
         j2 = jet2_of(s, p)
         pushed = pushed_jet2(auto, s, p)
@@ -846,7 +852,6 @@ def verify_functoriality(auto: VerticalAutomorphism, s: SodeSystem,
         deltas["eq_Partial2F"].append(lhs2 - rhs2)
 
         # (iii) frame pushforwards
-        jmap = eval_array(dM, vars.names, values)
         frame_p, _ = _frame_matrices_from_jet(j2)
         frame_q, coframe_q = _frame_matrices_from_jet(pushed)
         deltas["frame_push"].append(jmap @ frame_p[:, 0] - frame_q[:, 0])

@@ -3,9 +3,10 @@
     python3 tools/oracle_probe.py --n 4
 
 Builds `random_polynomial_sode(N, seed=3000)` and 50 sample points (seed 1)
-with this checkout's `src/`, runs the five oracles of `chernsode verify` in
-its order in this one process, and prints one row per residual, with the
-columns
+with this checkout's `src/`, runs the four oracle calls of `chernsode
+verify` in its order in this one process, and prints one row per residual
+(like `verify`, it reports item (4) of `verify_characterization` also as
+`torsion_oracle`, on that call's row), with the columns
 
     oracle  seconds  operations  programs  diff_lookups  diff_misses
     maxrss_mib  residual-key  residual  tolerance
@@ -43,12 +44,12 @@ from chernsode import chern, expressions, sode  # noqa: E402
 from chernsode.cli import DEFAULT_TOLERANCES  # noqa: E402
 from chernsode.sode import random_polynomial_sode, sample_points  # noqa: E402
 
-# the oracles of `cli.task_verify`, in its order, with their residual keys
+# the oracle calls of `cli.task_verify`, in its order, with their residual
+# keys
 ORACLES = (
     ("verify_structure_identities", None),
-    ("torsion_oracle_residual", "torsion_oracle"),
-    ("curvature_oracle_residual", "curvature_oracle"),
     ("verify_characterization", "characterization_{}"),
+    ("curvature_oracle_residual", "curvature_oracle"),
     ("eigenstructure_residual", "eigenstructure"),
 )
 
@@ -98,6 +99,8 @@ def main(argv=None) -> int:
         if isinstance(result, dict):
             pattern = key or "{}"
             rows = [(pattern.format(k), v) for k, v in result.items()]
+            if "torsion_match" in result:
+                rows.insert(0, ("torsion_oracle", result["torsion_match"]))
         else:
             rows = [(key, result)]
         for label, value in rows:
