@@ -219,11 +219,10 @@ def _simplified(S) -> np.ndarray:
     return out
 
 
-def covariant_derivative(s: SodeSystem, X, Y, gamma=None) -> np.ndarray:
+def covariant_derivative(s: SodeSystem, X, Y) -> np.ndarray:
     """D_X Y = sum_a X^a D_{e_a} Y for X, Y in adapted-frame components with
-    Expr coefficients."""
-    if gamma is None:
-        gamma = connection(s).gamma
+    Expr coefficients, with the connection's Gamma."""
+    gamma = connection(s).gamma
     parts = [(xa, _frame_covariant(s, gamma, Y, "u", a))
              for a, xa in enumerate(map(as_expr, X)) if xa is not ZERO]
     out = expr_array(2 * s.n + 1)
@@ -281,14 +280,13 @@ def torsion_definition(s: SodeSystem, a, b, gamma=None) -> np.ndarray:
     return tor[a, b].copy() if a < b else -tor[b, a]
 
 
-def torsion(s: SodeSystem, check="numeric", points=None, tol=1e-10,
-            seed=2024) -> TorsionTensor:
+def torsion(s: SodeSystem, check="numeric", points=None) -> TorsionTensor:
     """The connection's read-only torsion blocks; unless check is "none",
     compare them with Tor(e_a, e_b) of the structure equation on every frame
     pair (the connection's torsion deltas)."""
     conn = connection(s)
     if check != "none":
-        check_residual(conn.torsion_deltas, s, check, points, tol, seed)
+        check_residual(conn.torsion_deltas, s, check, points)
     return conn.torsion
 
 
@@ -369,15 +367,15 @@ def _expected_curvature(comp: CurvatureComponents, n, a, b, c):
     return out
 
 
-def curvature(s: SodeSystem, check="numeric", points=None, tol=1e-10,
-              seed=2024) -> CurvatureComponents:
+def curvature(s: SodeSystem, check="numeric",
+              points=None) -> CurvatureComponents:
     """The connection's read-only closed-formula (A, B, R); unless check is
     "none", evaluate the curvature of the connection on every frame triple
     and compare against the component table, including its vanishing
     blocks."""
     comp = connection(s).curvature
     if check != "none":
-        check_residual(_curvature_deltas(s, comp), s, check, points, tol, seed)
+        check_residual(_curvature_deltas(s, comp), s, check, points)
     return comp
 
 

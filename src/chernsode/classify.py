@@ -82,7 +82,7 @@ class ClassificationReport:
 # zero-testing helpers
 # --------------------------------------------------------------------------
 
-def _condition(named_exprs, s, mode, points, tol):
+def _condition(named_exprs, s, mode, points):
     if mode == "symbolic":
         if not all(is_polynomial(f) for f in s.F):
             raise SymbolicModeUnsupported(
@@ -91,12 +91,11 @@ def _condition(named_exprs, s, mode, points, tol):
                        if not zero_symbolically(e)]
         if not named_exprs:
             return ConditionResult("symbolic-zero")
-        tol = 0.0
     if points is None:
         points = sample_points(s.vars, 8 if mode == "symbolic" else 25, seed=17)
     r = reduce_residual([(name, [e]) for name, e in named_exprs], s,
                         point_batch(s.vars, points))
-    if r.worst <= tol:
+    if r.worst <= (0.0 if mode == "symbolic" else 1e-10):
         if mode != "symbolic":
             return ConditionResult("numeric-zero")
         return ConditionResult("violated", {
@@ -117,7 +116,7 @@ def _named(prefix, arr):
 # --------------------------------------------------------------------------
 
 def special_coordinate_conditions(s: SodeSystem, mode="symbolic",
-                                  points=None, tol=1e-10) -> dict:
+                                  points=None) -> dict:
     """Necessary curvature conditions for the three special normal forms:
 
     - linearizable_necessary: B = 0 and R = 0 (right-hand side becomes a
@@ -136,7 +135,7 @@ def special_coordinate_conditions(s: SodeSystem, mode="symbolic",
         "trivializable_necessary":
             r_named + _named("P", sc.P) + _named("T", sc.T),
     }
-    return {flag: _condition(exprs, s, mode, points, tol)
+    return {flag: _condition(exprs, s, mode, points)
             for flag, exprs in sets.items()}
 
 
@@ -164,16 +163,16 @@ def holonomy_spans(s: SodeSystem, points, tol=1e-8) -> list:
             for k in range(len(points))]
 
 
-def holonomy_span(s: SodeSystem, p: JetPoint1, tol=1e-8) -> int | None:
+def holonomy_span(s: SodeSystem, p: JetPoint1) -> int | None:
     """`holonomy_spans` at the one point p."""
-    return holonomy_spans(s, [p], tol)[0]
+    return holonomy_spans(s, [p])[0]
 
 
 # --------------------------------------------------------------------------
 # unimodular (traceless) test
 # --------------------------------------------------------------------------
 
-def unimodular_test(s: SodeSystem, mode="auto", points=None, tol=1e-10):
+def unimodular_test(s: SodeSystem, mode="auto", points=None):
     """Divergence test for traceless curvature: sum_h dF^h/dv^h must be
     affine in the velocities, D = F_0 + F_i v^i with F_0, F_i velocity-free,
     and (F_0, F_i) must satisfy dF_j/dx^i = dF_i/dx^j and
@@ -188,7 +187,7 @@ def unimodular_test(s: SodeSystem, mode="auto", points=None, tol=1e-10):
 
     named = [(f"d2D/dv[{i}]dv[{j}]", e)
              for (i, j), e in np.ndenumerate(_jacobian(F_i, vels))]
-    affine = _condition(named, s, mode, points, tol)
+    affine = _condition(named, s, mode, points)
     if not affine.holds:
         return affine, None
 
@@ -199,7 +198,7 @@ def unimodular_test(s: SodeSystem, mode="auto", points=None, tol=1e-10):
              for i in range(n) for j in range(i + 1, n)]
     named += [(f"dF_{j}/dt - dF_0/dx[{j}]", add(G[1 + j, 0], mul(-1, G[0, 1 + j])))
               for j in range(n)]
-    closed = _condition(named, s, mode, points, tol)
+    closed = _condition(named, s, mode, points)
     if not closed.holds:
         return closed, None
     return closed, (F_0, tuple(F_i))
@@ -209,18 +208,28 @@ def unimodular_test(s: SodeSystem, mode="auto", points=None, tol=1e-10):
 # orthogonal holonomy residuals
 # --------------------------------------------------------------------------
 
-def _check_spd(U, s, points, name="U", tol=1e-9):
+def _check_spd(U, s, points, name="U"):
     """Raise NotPositiveDefinite, naming the matrix `name`, at the first
-    point where U is not finite, not symmetric or not positive definite."""
+    point where U is not finite, not symmetric within 1e-9 or not positive
+    definite."""
     vals = eval_array(U, s.vars.names, point_batch(s.vars, points))
     for k, p in enumerate(points):
         m = vals[:, :, k]
         if not np.isfinite(m).all():
             raise NotPositiveDefinite(f"{name} not finite at {p}")
-        if np.max(np.abs(m - m.T)) > tol:
+        if np.max(np.abs(m - m.T)) > 1e-9:
             raise NotPositiveDefinite(f"{name} not symmetric at {p}")
         if np.min(np.linalg.eigvalsh((m + m.T) / 2)) <= 0:
             raise NotPositiveDefinite(f"{name} not positive definite at {p}")
+
+
+def _check_tx(U, vars):
+    """Raise ValueError if an entry of U depends on more than (t, x)."""
+    allowed = {vars.time, *vars.positions}
+    for e in np.asarray(U, dtype=object).flat:
+        extra = free_variables(as_expr(e)) - allowed
+        if extra:
+            raise ValueError(f"U must depend on (t, x) only; found {sorted(extra)}")
 
 
 def orthogonal_residual(s: SodeSystem, U, points, check_spd=True) -> dict:
@@ -230,11 +239,7 @@ def orthogonal_residual(s: SodeSystem, U, points, check_spd=True) -> dict:
     when any value is not finite."""
     n = s.n
     U = np.asarray(U, dtype=object)
-    allowed = {s.vars.time, *s.vars.positions}
-    for idx in np.ndindex(U.shape):
-        extra = free_variables(as_expr(U[idx])) - allowed
-        if extra:
-            raise ValueError(f"U must depend on (t, x) only; found {sorted(extra)}")
+    _check_tx(U, s.vars)
     if check_spd:
         _check_spd(U, s, points)
 
@@ -351,10 +356,9 @@ def first_prolongation_dim(n: int) -> int:
 # assembled report
 # --------------------------------------------------------------------------
 
-def classification_report(s: SodeSystem, points, mode="auto", U=None,
+def classification_report(s: SodeSystem, points, U=None,
                           rank_tol=1e-8) -> ClassificationReport:
-    if mode == "auto":
-        mode = "symbolic" if all(is_polynomial(f) for f in s.F) else "numeric"
+    mode = "symbolic" if all(is_polynomial(f) for f in s.F) else "numeric"
     flags = special_coordinate_conditions(s, mode=mode, points=points)
     spans = holonomy_spans(s, points, tol=rank_tol)
     span = None if None in spans else max(spans)

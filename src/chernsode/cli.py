@@ -36,7 +36,7 @@ from .chern import (
 )
 from .classify import (
     NotPositiveDefinite, classification_report, first_prolongation_dim,
-    holonomy_spans, kosambi_invariants,
+    holonomy_spans, kosambi_invariants, _check_tx,
 )
 from .natjets import (
     MissingInverse, VerticalAutomorphism, curvature_kernel_dim,
@@ -158,6 +158,11 @@ class Problem:
         self.box = self._parse_box()
         self.metric = self._parse_metric(raw.get("metric"))
         self.U = self._parse_matrix(raw.get("U"), "U")
+        if self.U is not None:
+            try:
+                _check_tx(self.U, self.vars)
+            except ValueError as exc:
+                raise CliInputError("validation", str(exc), "U") from None
         self.automorphism = self._parse_automorphism(raw.get("automorphism"))
         self.tolerances = dict(DEFAULT_TOLERANCES)
         for key, val in _object(raw.get("tolerances"), "tolerances").items():
@@ -183,14 +188,13 @@ class Problem:
 
     # -- helpers ------------------------------------------------------------
 
-    def _strings(self, key, count, where=None):
+    def _strings(self, key, count):
         val = self.raw.get(key)
-        where = where or key
         if not isinstance(val, list) or len(val) != count \
                 or not all(isinstance(s, str) for s in val):
             raise CliInputError("validation",
-                                f"{where} must be a list of {count} strings",
-                                where)
+                                f"{key} must be a list of {count} strings",
+                                key)
         return val
 
     def _expr(self, text, location):
@@ -225,9 +229,10 @@ class Problem:
                                 "files; substitute numeric values",
                                 "variables.parameters")
         try:
-            vars = VarSet(time=spec["time"],
-                          positions=tuple(spec["positions"]),
-                          velocities=tuple(spec["velocities"]))
+            lists = spec["positions"], spec["velocities"]
+            if not all(isinstance(names, list) for names in lists):
+                raise TypeError("positions and velocities must be lists")
+            vars = VarSet(spec["time"], *map(tuple, lists))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliInputError("validation", f"bad variables: {exc}",
                                 "variables")
@@ -272,7 +277,7 @@ class Problem:
         inverse = None
         if spec.get("inverse") is not None:
             inverse = self._exprs(spec["inverse"], "automorphism.inverse")
-        if len(phi) != self.n or (inverse and len(inverse) != self.n):
+        if len(phi) != self.n:
             raise CliInputError("validation",
                                 f"automorphism needs {self.n} components",
                                 "automorphism")

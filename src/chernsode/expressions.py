@@ -738,8 +738,8 @@ class _Expansion:
         self.atoms.setdefault(key, atom)
         return key
 
-    def atom_mono(self, atom, exp=1):
-        return {((self.key(atom), exp),): 1}, 1
+    def atom_mono(self, atom):
+        return {((self.key(atom), 1),): 1}, 1
 
     def to_poly(self, e):
         if isinstance(e, Const):

@@ -271,14 +271,13 @@ class UJet:
     """Placeholder names for the derivatives of a vertical field u^i(t, x)
     through order 4 (the coefficient recursion never needs more)."""
 
-    def __init__(self, vars, order=4):
+    def __init__(self, vars):
         self.vars = vars
-        self.order = order
         base = (vars.time,) + tuple(vars.positions)
         self.names = []
         self.index = {}
         for i in range(vars.n):
-            for k in range(order + 1):
+            for k in range(5):
                 for combo in itertools.combinations_with_replacement(base, k):
                     name = f"u{i + 1}" + ("_" + "".join(combo) if combo else "")
                     self.index[(i, combo)] = name
@@ -286,7 +285,7 @@ class UJet:
         # derivative chain: placeholder -> placeholder, per base direction
         self.chain = {}
         for (i, combo), name in self.index.items():
-            if len(combo) >= order:
+            if len(combo) >= 4:
                 continue
             for d in base:
                 nxt = tuple(sorted(combo + (d,), key=base.index))
@@ -527,28 +526,26 @@ def _field_jet_span(s: SodeSystem, p: JetPoint1, order, sample_count, seed,
 
 
 def distribution_span(n, s: SodeSystem, p: JetPoint1, sample_count=None,
-                      seed=2024, degree=4):
+                      seed=2024):
     """Singular values of the matrix whose rows are full coefficient vectors
     of prolonged vertical fields at the jet of s at p (the t-component is
     identically zero and omitted).  The fields are seeded random 4-jets:
-    centered polynomial fields of the given degree at the base point, whose
+    centered polynomial fields of degree 4 at the base point, whose
     derivatives enter the precompiled generic coefficients directly.  The
     `svd_gap` of a `jets` report is the ratio of two of these values."""
     order = jet_space(s.vars).all_coords[1:]  # drop t
     if sample_count is None:
         sample_count = len(order) + 10
-    return _field_jet_span(s, p, order, sample_count, seed, degree)
+    return _field_jet_span(s, p, order, sample_count, seed, 4)
 
 
-def order0_distribution_rank(n, s: SodeSystem, p: JetPoint1,
-                             sample_count=None, seed=2024) -> int:
-    """Rank of the order-0 field components (x, v, value blocks only); equals
+def order0_distribution_rank(n, s: SodeSystem, p: JetPoint1) -> int:
+    """Rank of the order-0 field components (x, v, value blocks only) of
+    3n + 8 prolonged fields of degree 2 drawn with seed 2024; equals
     3n at generic points, so order-0 invariants are functions of t alone."""
     js = jet_space(s.vars)
     order = js.base[1:] + js.values
-    if sample_count is None:
-        sample_count = len(order) + 8
-    rank, _ = _field_jet_span(s, p, order, sample_count, seed, degree=2)
+    rank, _ = _field_jet_span(s, p, order, len(order) + 8, 2024, degree=2)
     return rank
 
 
@@ -584,6 +581,8 @@ class VerticalAutomorphism:
         object.__setattr__(self, "phi", tuple(self.phi))
         if self.inverse is not None:
             object.__setattr__(self, "inverse", tuple(self.inverse))
+            if len(self.inverse) != self.n:
+                raise ValueError(f"automorphism needs {self.n} components")
         allowed = {self.vars.time, *self.vars.positions}
         for component in self.phi + (self.inverse or ()):
             extra = free_variables(component) - allowed
@@ -598,11 +597,14 @@ class VerticalAutomorphism:
     def jacobian(self):
         return _jacobian(self.phi, self.vars.positions)
 
-    def validate(self, points, det_tol=1e-8, roundtrip_tol=1e-10):
+    def validate(self, points):
+        """Raise ValueError at the first point where |det| of the Jacobian
+        is below 1e-8 or the inverse misses the round trip by more than
+        1e-10."""
         J = self.jacobian()
         for p in points:
             jm = eval_array(J, self.vars.names, p.row)
-            if abs(np.linalg.det(jm)) < det_tol:
+            if abs(np.linalg.det(jm)) < 1e-8:
                 raise ValueError(f"singular Jacobian at {p}")
             if self.inverse is not None:
                 env = p.env(self.vars)
@@ -610,7 +612,7 @@ class VerticalAutomorphism:
                 env2 = dict(env)
                 env2.update(zip(self.vars.positions, pushed))
                 back = [evaluate(c, env2) for c in self.inverse]
-                if not worst_abs(np.subtract(back, p.x)) <= roundtrip_tol:
+                if not worst_abs(np.subtract(back, p.x)) <= 1e-10:
                     raise ValueError(f"inverse fails round-trip at {p}")
 
     def inverted(self) -> "VerticalAutomorphism":
@@ -637,18 +639,18 @@ def compose(outer: VerticalAutomorphism,
     return VerticalAutomorphism(vars=outer.vars, phi=phi, inverse=inverse)
 
 
-def random_automorphism(vars, seed, scale=Fraction(1, 4)) -> VerticalAutomorphism:
+def random_automorphism(vars, seed) -> VerticalAutomorphism:
     """Composition of two unipotent triangular polynomial shears (each
     component shifts x^i by a degree-<=2 polynomial in t and the earlier /
-    later coordinates).  Triangular maps invert exactly by back-substitution,
-    so the result is a global polynomial automorphism with a polynomial
-    inverse and Jacobian determinant identically 1."""
+    later coordinates, with coefficients k/16 for k in [-4, 4]).  Triangular
+    maps invert exactly by back-substitution, so the result is a global
+    polynomial automorphism with a polynomial inverse and Jacobian
+    determinant identically 1."""
     rng = np.random.default_rng(seed)
     n = vars.n
-    scale = Fraction(scale)
 
     def poly(names):
-        terms = [mul(const(scale * Fraction(int(rng.integers(-4, 5)), 4)),
+        terms = [mul(const(Fraction(int(rng.integers(-4, 5)), 16)),
                      *[var(nm) for nm in m]) for m in monomials(names, 2)]
         return add(*terms)
 
@@ -791,10 +793,10 @@ def _frame_matrices_from_jet(j2: SodeJet2):
     return frame, coframe
 
 
-def _fd_push_derivative(auto, s, p, jx_inv, h=1e-4):
-    """d(pushed F)/dV at the pushed point by central differences along
-    curves q_eps whose image moves only the V coordinate, with one
-    Richardson step."""
+def _fd_push_derivative(auto, s, p, jx_inv):
+    """d(pushed F)/dV at the pushed point by central differences of step
+    1e-4 along curves q_eps whose image moves only the V coordinate, with
+    one Richardson step."""
     n = s.n
 
     def value(v):
@@ -805,7 +807,7 @@ def _fd_push_derivative(auto, s, p, jx_inv, h=1e-4):
     out = np.zeros((n, n))
     for i in range(n):
         step = jx_inv[:, i]
-        out[:, i] = richardson(lambda eps: value(base_v + eps * step), h)
+        out[:, i] = richardson(lambda eps: value(base_v + eps * step), 1e-4)
     return out
 
 

@@ -76,8 +76,8 @@ def criterion_flat_suite():
                         "numeric_max": worst}}
 
 
-def battery_systems(count=20, n=2, base_seed=3000):
-    return [random_polynomial_sode(n, seed=base_seed + k) for k in range(count)]
+def battery_systems(count=20):
+    return [random_polynomial_sode(2, seed=3000 + k) for k in range(count)]
 
 
 def criterion_identity_battery(count=20, points_per=50):
@@ -144,10 +144,10 @@ def criterion_riemann_bridge():
             "details": details}
 
 
-def criterion_functoriality(n_autos=10, n_systems=5, points_per=4):
+def criterion_functoriality(n_autos=10, n_systems=5):
     """C6: derivative transformation laws, frame pushes, torsion and
     curvature-mapping equivariance, Kosambi invariance for seeded polynomial
-    automorphisms over random systems."""
+    automorphisms over random systems, at 4 seeded points each."""
     vars = VarSet.default(2)
     systems = [random_polynomial_sode(2, seed=7000 + k)
                for k in range(n_systems)]
@@ -155,7 +155,7 @@ def criterion_functoriality(n_autos=10, n_systems=5, points_per=4):
     for k in range(n_autos):
         auto = random_automorphism(vars, seed=8000 + k)
         s = systems[k % n_systems]
-        pts = sample_points(vars, points_per, seed=650 + k)
+        pts = sample_points(vars, 4, seed=650 + k)
         for key, val in verify_functoriality(auto, s, pts).items():
             found.setdefault(key, []).append(val)
     worst = {key: worst_abs(vals) for key, vals in found.items()}
@@ -253,9 +253,9 @@ def criterion_classifiers():
                         "oscillator_divergence": divergence}}
 
 
-def _expression_pool(minimum=200):
-    """Expressions actually used by the suites: right-hand sides, their
-    derivatives, component arrays, metric data."""
+def _expression_pool():
+    """Expressions actually used by the suites (at least 200): right-hand
+    sides, their derivatives, component arrays, metric data."""
     pool = []
     for k in range(8):
         s = random_polynomial_sode(2, seed=5000 + k)
@@ -271,7 +271,7 @@ def _expression_pool(minimum=200):
     pool.extend(sph.F)
     pool.extend(_jacobian(sph.F, sph.coords).flat)
     pool = [e for e in pool if free_variables(e)]
-    assert len(pool) >= minimum
+    assert len(pool) >= 200
     return pool
 
 
