@@ -20,16 +20,16 @@ from itertools import combinations
 import numpy as np
 
 from .expressions import (
-    add, const, free_variables, is_polynomial, mul, simplify, var,
+    add, const, is_polynomial, mul, simplify, var,
 )
 from .chern import (
     connection, connection_data, curvature_components, frame_christoffels,
     _frame_covariant,
 )
 from .sode import (
-    JetPoint1, SodeSystem, as_expr, eval_array, expr_array, flow_derivative,
-    numeric_rank, point_batch, reduce_residual, sample_points, worst_abs,
-    zero_symbolically, F_partials, _det, _jacobian,
+    JetPoint1, SodeSystem, as_expr, check_dependence, eval_array, expr_array,
+    flow_derivative, numeric_rank, point_batch, reduce_residual,
+    sample_points, worst_abs, zero_symbolically, F_partials, _det, _jacobian,
 )
 
 __all__ = [
@@ -225,11 +225,9 @@ def _check_spd(U, s, points, name="U"):
 
 def _check_tx(U, vars):
     """Raise ValueError if an entry of U depends on more than (t, x)."""
-    allowed = {vars.time, *vars.positions}
-    for e in np.asarray(U, dtype=object).flat:
-        extra = free_variables(as_expr(e)) - allowed
-        if extra:
-            raise ValueError(f"U must depend on (t, x) only; found {sorted(extra)}")
+    check_dependence(np.asarray(U, dtype=object).flat,
+                     (vars.time, *vars.positions),
+                     "U must depend on (t, x) only; found ")
 
 
 def orthogonal_residual(s: SodeSystem, U, points, check_spd=True) -> dict:
@@ -347,9 +345,8 @@ def first_prolongation_dim(n: int) -> int:
         for b in lo:
             for g in lo:
                 constrain([((a, b, g), 1.0), ((a, b + n, g + n), -1.0)])
-    m = np.vstack(rows)
-    rank = np.linalg.matrix_rank(m, tol=1e-10)
-    return unknowns - int(rank)
+    rank, _ = numeric_rank(rows)
+    return unknowns - rank
 
 
 # --------------------------------------------------------------------------

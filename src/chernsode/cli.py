@@ -130,19 +130,37 @@ def _finite(value):
     return value if math.isfinite(value) else None
 
 
-def _object(value, where) -> dict:
-    """An optional JSON object: {} when absent or null."""
-    if value is None:
+def _object(value, where, keys, message=None) -> dict:
+    """The JSON object at `where` (None: the top level); null below the top
+    level reads as {}.  A key not in `keys` is a validation error at its
+    path, and a value that is not an object one at `where` with `message`
+    (default "<where> must be an object")."""
+    if value is None and where is not None:
         return {}
     if not isinstance(value, dict):
-        raise CliInputError("validation", f"{where} must be an object", where)
+        raise CliInputError("validation",
+                            message or f"{where} must be an object", where)
+    for key in value:
+        if key not in keys:
+            raise CliInputError("validation", f"unknown key {key!r}",
+                                key if where is None else f"{where}.{key}")
+    return value
+
+
+def _list(value, where, message, count=None) -> list:
+    """The JSON list at `where`, of `count` items when count is given; any
+    other value is a validation error at `where` with `message`."""
+    if not isinstance(value, list) \
+            or count is not None and len(value) != count:
+        raise CliInputError("validation", message, where)
     return value
 
 
 class Problem:
     def __init__(self, raw):
-        if not isinstance(raw, dict):
-            raise CliInputError("validation", "top level must be an object")
+        raw = _object(raw, None, ("dimension", "variables", "F", "samples",
+                                  "metric", "U", "automorphism", "tolerances",
+                                  "tasks"), "top level must be an object")
         self.raw = raw
         n = raw.get("dimension")
         if not _is_int(n) or n < 1:
@@ -154,7 +172,8 @@ class Problem:
                                  F=tuple(self._expr(text, f"F[{i}]")
                                          for i, text in
                                          enumerate(self._strings("F", n))))
-        self.samples = _object(raw.get("samples"), "samples")
+        self.samples = _object(raw.get("samples"), "samples",
+                               ("mode", "seed", "count", "points", "box"))
         self.box = self._parse_box()
         self.metric = self._parse_metric(raw.get("metric"))
         self.U = self._parse_matrix(raw.get("U"), "U")
@@ -165,10 +184,8 @@ class Problem:
                 raise CliInputError("validation", str(exc), "U") from None
         self.automorphism = self._parse_automorphism(raw.get("automorphism"))
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        for key, val in _object(raw.get("tolerances"), "tolerances").items():
-            if key not in DEFAULT_TOLERANCES:
-                raise CliInputError("validation", f"unknown tolerance {key!r}",
-                                    "tolerances")
+        for key, val in _object(raw.get("tolerances"), "tolerances",
+                                DEFAULT_TOLERANCES).items():
             val = _finite(val)
             if val is None or val < 0:
                 raise CliInputError("validation", f"tolerance {key!r} must be "
@@ -176,11 +193,8 @@ class Problem:
             self.tolerances[key] = val
         self.tasks = raw.get("tasks")
         if self.tasks is not None:
-            if not isinstance(self.tasks, list):
-                raise CliInputError("validation",
-                                    "tasks must be a list of task names",
-                                    "tasks")
-            for name in self.tasks:
+            for name in _list(self.tasks, "tasks",
+                              "tasks must be a list of task names"):
                 if name not in TASKS:
                     raise CliInputError("validation",
                                         f"unknown task {name!r}", "tasks")
@@ -189,12 +203,10 @@ class Problem:
     # -- helpers ------------------------------------------------------------
 
     def _strings(self, key, count):
-        val = self.raw.get(key)
-        if not isinstance(val, list) or len(val) != count \
-                or not all(isinstance(s, str) for s in val):
-            raise CliInputError("validation",
-                                f"{key} must be a list of {count} strings",
-                                key)
+        message = f"{key} must be a list of {count} strings"
+        val = _list(self.raw.get(key), key, message, count)
+        if not all(isinstance(s, str) for s in val):
+            raise CliInputError("validation", message, key)
         return val
 
     def _expr(self, text, location):
@@ -210,18 +222,15 @@ class Problem:
             raise CliInputError("DomainError", str(exc), location)
 
     def _exprs(self, texts, where):
-        if not isinstance(texts, list):
-            raise CliInputError("validation",
-                                f"{where} must be a list of expression strings",
-                                where)
+        texts = _list(texts, where,
+                      f"{where} must be a list of expression strings")
         return tuple(self._expr(t, f"{where}[{i}]") for i, t in enumerate(texts))
 
     def _parse_vars(self, spec):
         if spec is None:
             return VarSet.default(self.n)
-        if not isinstance(spec, dict):
-            raise CliInputError("validation", "variables must be an object",
-                                "variables")
+        spec = _object(spec, "variables",
+                       ("time", "positions", "velocities", "parameters"))
         if spec.get("parameters"):
             # a VarSet has no parameters and sampling gives them no values
             raise CliInputError("validation",
@@ -230,8 +239,9 @@ class Problem:
                                 "variables.parameters")
         try:
             lists = spec["positions"], spec["velocities"]
-            if not all(isinstance(names, list) for names in lists):
-                raise TypeError("positions and velocities must be lists")
+            for names in lists:
+                _list(names, "variables", "bad variables: positions and "
+                      "velocities must be lists")
             vars = VarSet(spec["time"], *map(tuple, lists))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliInputError("validation", f"bad variables: {exc}",
@@ -246,14 +256,12 @@ class Problem:
         if rows is None:
             return None
         n = self.n
-        if not isinstance(rows, list) or len(rows) != n \
-                or any(not isinstance(r, list) or len(r) != n for r in rows):
-            raise CliInputError("validation", f"{where} must be {n}x{n}",
-                                where)
+        message = f"{where} must be {n}x{n}"
+        rows = [_list(row, where, message, n)
+                for row in _list(rows, where, message, n)]
         out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self._expr(rows[i][j], f"{where}[{i}][{j}]")
+        for i, row in enumerate(rows):
+            out[i] = self._exprs(row, f"{where}[{i}]")
         return out
 
     def _parse_metric(self, rows):
@@ -270,9 +278,10 @@ class Problem:
     def _parse_automorphism(self, spec):
         if spec is None:
             return None
-        if not isinstance(spec, dict) or "phi" not in spec:
-            raise CliInputError("validation",
-                                "automorphism needs a phi list", "automorphism")
+        needs_phi = "automorphism needs a phi list"
+        spec = _object(spec, "automorphism", ("phi", "inverse"), needs_phi)
+        if "phi" not in spec:
+            raise CliInputError("validation", needs_phi, "automorphism")
         phi = self._exprs(spec["phi"], "automorphism.phi")
         inverse = None
         if spec.get("inverse") is not None:
@@ -290,37 +299,30 @@ class Problem:
     def _parse_box(self):
         """Sampling ranges per role, each two finite numbers lo, hi a
         finite distance apart."""
-        box = _object(self.samples.get("box"), "samples.box")
+        box = _object(self.samples.get("box"), "samples.box",
+                      ("time", "position", "velocity"))
         out = {}
-        for role in ("time", "position", "velocity"):
-            if role in box:
-                where = f"samples.box.{role}"
-                bounds = box[role]
-                pair = [_finite(b) for b in bounds] \
-                    if isinstance(bounds, list) else []
-                if len(pair) != 2 or None in pair \
-                        or not math.isfinite(pair[1] - pair[0]):
-                    raise CliInputError("validation", f"{where} must be two "
-                                        "finite numbers [lo, hi]", where)
-                out[role] = tuple(pair)
+        for role, bounds in box.items():
+            where = f"samples.box.{role}"
+            message = f"{where} must be two finite numbers [lo, hi]"
+            pair = [_finite(b) for b in _list(bounds, where, message, 2)]
+            if None in pair or not math.isfinite(pair[1] - pair[0]):
+                raise CliInputError("validation", message, where)
+            out[role] = tuple(pair)
         return out
 
     def _parse_samples(self):
         spec = self.samples
         mode = spec.get("mode", "random")
         if mode == "explicit":
-            pts = spec.get("points")
-            if not isinstance(pts, list) or not pts:
-                raise CliInputError("validation",
-                                    "explicit mode needs a points list",
-                                    "samples.points")
+            # `or None`: an empty list is refused as well
+            pts = _list(spec.get("points") or None, "samples.points",
+                        "explicit mode needs a points list")
             width = 2 * self.n + 1
             for k, row in enumerate(pts):
                 where = f"samples.points[{k}]"
-                if not isinstance(row, list) or len(row) != width:
-                    raise CliInputError(
-                        "validation", f"point {k} must have {width} entries",
-                        where)
+                _list(row, where, f"point {k} must have {width} entries",
+                      width)
                 if None in map(_finite, row):
                     raise CliInputError(
                         "validation",

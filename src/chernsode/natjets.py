@@ -34,9 +34,9 @@ from .expressions import (
     richardson, substitute, var,
 )
 from .sode import (
-    HALF, QUARTER, JetPoint1, SodeSystem, TorsionTensor, as_expr, directional,
-    eval_array, expr_array, monomials, numeric_rank, worst_abs, _diff,
-    _jacobian,
+    HALF, QUARTER, JetPoint1, SodeSystem, TorsionTensor, as_expr,
+    check_dependence, directional, eval_array, expr_array, monomials,
+    numeric_rank, worst_abs, _diff, _jacobian,
 )
 from .chern import connection
 
@@ -417,11 +417,8 @@ def prolong_vertical_field(u, vars) -> ProlongedField:
     """Coefficients of the prolonged field for a concrete u (expressions over
     (t, positions)): the generic recursion specialised by substitution."""
     js = jet_space(vars)
-    allowed = {js.dirs[0], *js.dirs[1:1 + js.n]}
-    for ui in u:
-        extra = free_variables(ui) - allowed
-        if extra:
-            raise ValueError(f"vertical fields depend on (t, x) only: {sorted(extra)}")
+    check_dependence(u, js.dirs[:1 + js.n],
+                     "vertical fields depend on (t, x) only: ")
     ujet, generic = generic_prolongation(vars)
     mapping = {name: e for name, e in ujet.substitution_for(u).items()}
     comp = {name: substitute(e, mapping) for name, e in generic.items()}
@@ -583,12 +580,9 @@ class VerticalAutomorphism:
             object.__setattr__(self, "inverse", tuple(self.inverse))
             if len(self.inverse) != self.n:
                 raise ValueError(f"automorphism needs {self.n} components")
-        allowed = {self.vars.time, *self.vars.positions}
-        for component in self.phi + (self.inverse or ()):
-            extra = free_variables(component) - allowed
-            if extra:
-                raise ValueError(
-                    f"automorphism components depend on (t, x) only: {sorted(extra)}")
+        check_dependence(self.phi + (self.inverse or ()),
+                         (self.vars.time, *self.vars.positions),
+                         "automorphism components depend on (t, x) only: ")
 
     @property
     def n(self):
@@ -598,20 +592,20 @@ class VerticalAutomorphism:
         return _jacobian(self.phi, self.vars.positions)
 
     def validate(self, points):
-        """Raise ValueError at the first point where |det| of the Jacobian
-        is below 1e-8 or the inverse misses the round trip by more than
-        1e-10."""
+        """Raise DomainError at the first point where `evaluate` fails on the
+        1-jet map or the Jacobian, and ValueError at the first point where
+        |det| of the Jacobian is below 1e-8 or the inverse misses the round
+        trip by more than 1e-10."""
         J = self.jacobian()
         for p in points:
-            jm = eval_array(J, self.vars.names, p.row)
+            pushed = prolong1(self, p)
+            env = p.env(self.vars)
+            jm = [[evaluate(as_expr(e), env) for e in row] for row in J]
             if abs(np.linalg.det(jm)) < 1e-8:
                 raise ValueError(f"singular Jacobian at {p}")
             if self.inverse is not None:
-                env = p.env(self.vars)
-                pushed = [evaluate(c, env) for c in self.phi]
-                env2 = dict(env)
-                env2.update(zip(self.vars.positions, pushed))
-                back = [evaluate(c, env2) for c in self.inverse]
+                env.update(zip(self.vars.positions, pushed.x))
+                back = [evaluate(c, env) for c in self.inverse]
                 if not worst_abs(np.subtract(back, p.x)) <= 1e-10:
                     raise ValueError(f"inverse fails round-trip at {p}")
 

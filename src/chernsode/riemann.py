@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    add, call, const, free_variables, mul, pow_, simplify, var,
+    add, call, const, mul, pow_, simplify, var,
 )
 from .sode import (
-    HALF, SodeSystem, eval_array, expr_array, max_abs, point_batch,
-    sample_points, zero_symbolically, _det, _frozen, _jacobian, _kept,
+    HALF, SodeSystem, check_dependence, eval_array, expr_array, max_abs,
+    point_batch, sample_points, zero_symbolically, _det, _frozen, _jacobian,
+    _kept,
 )
 from .chern import connection
 from .classify import (
@@ -54,13 +55,9 @@ class MetricField:
         n = self.vars.n
         if len(self.g) != n or any(len(row) != n for row in self.g):
             raise ValueError("metric must be n x n")
-        allowed = set(self.vars.positions)
-        for row in self.g:
-            for entry in row:
-                extra = free_variables(entry) - allowed
-                if extra:
-                    raise ValueError(
-                        f"metric entries depend on positions only: {sorted(extra)}")
+        check_dependence([e for row in self.g for e in row],
+                         self.vars.positions,
+                         "metric entries depend on positions only: ")
         for i in range(n):
             for j in range(i + 1, n):
                 if not zero_symbolically(add(self.g[i][j],

@@ -139,11 +139,8 @@ class SodeSystem:
             raise ValueError("need n >= 1 positions with matching velocities")
         if len(self.F) != n:
             raise ValueError(f"expected {n} right-hand sides, got {len(self.F)}")
-        declared = set(self.vars.names)
-        for f in self.F:
-            extra = free_variables(f) - declared
-            if extra:
-                raise ValueError(f"undeclared variables in F: {sorted(extra)}")
+        check_dependence(self.F, self.vars.names,
+                         "undeclared variables in F: ")
 
     @property
     def n(self) -> int:
@@ -204,6 +201,16 @@ class TorsionTensor:
 
 def as_expr(x) -> Expr:
     return x if isinstance(x, Expr) else const(x)
+
+
+def check_dependence(exprs, allowed, message):
+    """Raise ValueError(message + the sorted names) when an expression of
+    `exprs` has a free variable outside `allowed`: the one check of the
+    coordinates an input may depend on."""
+    for e in exprs:
+        extra = free_variables(as_expr(e)).difference(allowed)
+        if extra:
+            raise ValueError(f"{message}{sorted(extra)}")
 
 
 def expr_array(shape) -> np.ndarray:
