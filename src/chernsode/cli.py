@@ -40,8 +40,8 @@ from .classify import (
 )
 from .natjets import (
     MissingInverse, VerticalAutomorphism, curvature_kernel_dim,
-    distribution_span, infinitesimal_equivariance, jet2_of, prolong1,
-    push_sode_symbolic, push_sode_value, random_polynomial_field,
+    distribution_span, infinitesimal_equivariance, jet2_of, jet_space,
+    prolong1, push_sode_symbolic, push_sode_value, random_polynomial_field,
     verify_functoriality,
 )
 from .riemann import (
@@ -496,10 +496,21 @@ def _on_samples(fn, points):
         raise
 
 
+def _check_jet_names(vars):
+    """jets and push name jet coordinates after the variables (a1, a1_x1,
+    a1_x1v1, ...); variables that make two of those names equal are bad."""
+    try:
+        jet_space(vars)
+    except ValueError as exc:
+        raise CliInputError("validation", f"bad variables: {exc}",
+                            "variables") from None
+
+
 def task_push(problem: Problem) -> dict:
     if problem.automorphism is None:
         raise CliInputError("validation", "push needs an automorphism",
                             "automorphism")
+    _check_jet_names(problem.vars)
     s, pts = problem.system, problem.points
     auto = problem.automorphism
     try:
@@ -525,6 +536,7 @@ def task_push(problem: Problem) -> dict:
 
 
 def task_jets(problem: Problem) -> dict:
+    _check_jet_names(problem.vars)
     s, pts = problem.system, problem.points
     n = s.n
     p = pts[0]
@@ -600,17 +612,29 @@ TASK_RUNNERS = {
 }
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object, refusing a key given twice (json keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def run(spec_path: str, task: str) -> dict:
     """Load a problem file and run one task; returns the report dict."""
     if task not in TASKS:
         raise CliInputError("validation", f"unknown task {task!r}", "task")
     try:
         with open(spec_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise CliInputError("io", str(exc), spec_path)
-    except json.JSONDecodeError as exc:
-        raise CliInputError("json", str(exc), spec_path)
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and a duplicate
+    # key; RecursionError is a too deeply nested array or object
+    except (ValueError, RecursionError) as exc:
+        raise CliInputError("json", str(exc), spec_path) from None
     problem = Problem(raw)
     if problem.tasks is not None and task not in problem.tasks:
         raise CliInputError("validation",
@@ -640,41 +664,35 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        # a value that is not finite reaches the report as a null residual
-        # that fails, so numpy's warnings about it would only be noise
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if args.task == "selftest":
-                report = run_selftest()
-            else:
-                if args.problem is None:
-                    raise CliInputError(
-                        "validation", f"task {args.task!r} needs a problem "
-                        "file", "problem")
-                report = run(args.problem, args.task)
-        text = serialize_report(report)
+        try:
+            # a value that is not finite reaches the report as a null
+            # residual that fails, so numpy's warnings about it would only
+            # be noise
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                if args.task == "selftest":
+                    report = run_selftest()
+                else:
+                    if args.problem is None:
+                        raise CliInputError(
+                            "validation", f"task {args.task!r} needs a "
+                            "problem file", "problem")
+                    report = run(args.problem, args.task)
+            text = serialize_report(report)
+        except (ParseError, UnknownIdentifier) as exc:
+            raise CliInputError("syntax", str(exc)) from None
+        except (DomainError, ZeroDivisionError, SingularMetric, MissingInverse,
+                OracleMismatch, ValueError, MemoryError) as exc:
+            kind = "DomainError" if isinstance(exc, ZeroDivisionError) \
+                else "MemoryError" if isinstance(exc, MemoryError) \
+                else type(exc).__name__
+            raise CliInputError(kind, str(exc)) from None
+        except RecursionError:      # diff, simplify and to_string recurse
+            raise CliInputError("validation",
+                                "expression too deeply nested") from None
     except CliInputError as exc:
         sys.stdout.write(serialize_report(
             {"error": {"kind": exc.kind, "message": str(exc),
                        "location": exc.location}}))
-        return 2
-    except (ParseError, UnknownIdentifier) as exc:
-        sys.stdout.write(serialize_report(
-            {"error": {"kind": "syntax", "message": str(exc),
-                       "location": None}}))
-        return 2
-    except (DomainError, ZeroDivisionError, SingularMetric, MissingInverse,
-            OracleMismatch, ValueError, MemoryError) as exc:
-        kind = "DomainError" if isinstance(exc, ZeroDivisionError) \
-            else "MemoryError" if isinstance(exc, MemoryError) \
-            else type(exc).__name__
-        sys.stdout.write(serialize_report(
-            {"error": {"kind": kind, "message": str(exc), "location": None}}))
-        return 2
-    except RecursionError:
-        sys.stdout.write(serialize_report(
-            {"error": {"kind": "validation",
-                       "message": "expression too deeply nested",
-                       "location": None}}))
         return 2
 
     sys.stdout.write(text)

@@ -387,7 +387,7 @@ class VarSet:
 
 
 # --------------------------------------------------------------------------
-# parser: precedence climbing over a small token stream
+# parser: recursive descent over a small token stream
 # --------------------------------------------------------------------------
 
 _TOKEN = re.compile(
@@ -396,9 +396,6 @@ _TOKEN = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 
-_BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-_UNARY_PREC = 3  # between * / and ^
-_POW_PREC = 4
 # calls, parentheses and unary signs open one level each; the parser recurses
 # a few frames per level, so past this it raises ParseError, well before the
 # interpreter's recursion limit
@@ -490,7 +487,7 @@ def parse(text: str, vars: VarSet) -> Expr:
                     raise UnknownIdentifier(value, pos)
                 advance()
                 enter(pos)
-                inner = parse_expr(0)
+                inner = parse_sum()
                 expect_op(")")
                 return leave(Call(value, inner))
             if value in vars.names:
@@ -498,7 +495,7 @@ def parse(text: str, vars: VarSet) -> Expr:
             raise UnknownIdentifier(value, pos)
         if kind == "op" and value == "(":
             enter(pos)
-            inner = parse_expr(0)
+            inner = parse_sum()
             expect_op(")")
             return leave(inner)
         raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
@@ -510,33 +507,34 @@ def parse(text: str, vars: VarSet) -> Expr:
             enter(pos)
             inner = parse_unary()
             return leave(neg(inner) if value == "-" else inner)
-        return parse_power()
-
-    def parse_power():
         base = parse_atom()
         while peek()[:2] == ("op", "^"):
             advance()
             base = pow_(base, parse_exponent())
         return base
 
-    def parse_expr(min_prec):
-        left = parse_unary()
-        while True:
-            kind, value, _ = peek()
-            if kind != "op" or value not in _BIN_PREC or _BIN_PREC[value] < min_prec:
-                return left
-            advance()
-            right = parse_expr(_BIN_PREC[value] + 1)
-            if value == "+":
-                left = add(left, right)
-            elif value == "-":
-                left = add(left, neg(right))
-            elif value == "*":
-                left = mul(left, right)
+    # a sum or product is read into one list and built by one add or mul:
+    # their exact constant folding gives the nodes a left fold of binary
+    # add/mul calls would, in time linear in the operand count
+    def parse_product():
+        factors = [parse_unary()]
+        while peek()[:2] in (("op", "*"), ("op", "/")):
+            if advance()[1] == "*":
+                factors.append(parse_unary())
             else:
-                left = div(left, right)
+                factors.append(div(ONE, parse_unary()))
+        return factors[0] if len(factors) == 1 else mul(*factors)
 
-    result = parse_expr(0)
+    def parse_sum():
+        terms = [parse_product()]
+        while peek()[:2] in (("op", "+"), ("op", "-")):
+            if advance()[1] == "+":
+                terms.append(parse_product())
+            else:
+                terms.append(neg(parse_product()))
+        return terms[0] if len(terms) == 1 else add(*terms)
+
+    result = parse_sum()
     kind, value, pos = peek()
     if kind != "end":
         raise ParseError(f"unexpected token {value!r}", pos)

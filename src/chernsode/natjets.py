@@ -269,7 +269,10 @@ class ProlongedField:
 
 class UJet:
     """Placeholder names for the derivatives of a vertical field u^i(t, x)
-    through order 4 (the coefficient recursion never needs more)."""
+    through order 4 (the coefficient recursion never needs more): u1', u1_t',
+    u1_x1x2', ...  No variable name contains the trailing ', so none is a
+    placeholder's, and since ' sorts below every character of a name, the
+    sorted order of the placeholders is the order of their unprimed names."""
 
     def __init__(self, vars):
         self.vars = vars
@@ -279,7 +282,7 @@ class UJet:
         for i in range(vars.n):
             for k in range(5):
                 for combo in itertools.combinations_with_replacement(base, k):
-                    name = f"u{i + 1}" + ("_" + "".join(combo) if combo else "")
+                    name = f"u{i + 1}{'_' if combo else ''}{''.join(combo)}'"
                     self.index[(i, combo)] = name
                     self.names.append(name)
         # derivative chain: placeholder -> placeholder, per base direction

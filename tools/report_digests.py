@@ -12,9 +12,10 @@ and `chernsode selftest` in a fresh interpreter against this checkout's
 It then runs a fixed corpus of malformed problem files (`MALFORMED` below:
 each located field of `tests/test_cli_validation.py`, the problem-file
 holes of `tests/test_problem_file_holes.py`, the unusable automorphisms and
-metrics, one unknown key per object and a few accepted edge cases) in this
-one process through `chernsode.cli.main`, one row each, with `-` as the
-seed, `malformed` as the workload and the case's name as the file.
+metrics, one unknown key per object, files that json cannot read, variable
+names that the jet coordinates reserve and a few accepted edge cases) in
+this one process through `chernsode.cli.main`, one row each, with `-` as
+the seed, `malformed` as the workload and the case's name as the file.
 
 Run it in two checkouts and `diff` the two outputs: equal rows mean
 byte-identical reports, and a changed error report shows as a changed
@@ -72,9 +73,10 @@ def _system(n, **fields):
 
 
 XY = {"time": "t", "positions": ["x", "y"], "velocities": ["u", "w"]}
+A1 = {"time": "t", "positions": ["a1"], "velocities": ["v1"]}
 FLOW = dict(BASE, F=["v1^2"])
 
-# (name, task, problem): a str problem is the file's text
+# (name, task, problem): a str or bytes problem is the file's content
 MALFORMED = [
     ("samples:3", "analyze", _with(("samples",), 3)),
     ("samples.box:3", "analyze", _with(("samples", "box"), 3)),
@@ -179,6 +181,20 @@ MALFORMED = [
     ("accepted:null-objects", "analyze",
      dict(BASE, variables=None, tolerances=None, automorphism=None,
           metric=None, U=None, tasks=None)),
+    # files json cannot read, and names the jet coordinates reserve
+    ("json:deep", "analyze", "[" * 100000 + "]" * 100000),
+    ("json:undecodable", "analyze", b"\xff\xfe{}"),
+    ("json:duplicate-key", "analyze",
+     json.dumps(BASE)[:-1] + ', "F": ["v1^2"]}'),
+    ("variables:position-a1-jets", "jets",
+     _system(1, F=["-a1 - v1"], variables=A1)),
+    ("variables:position-a1-push", "push",
+     _system(1, F=["-a1 - v1"], variables=A1,
+             automorphism={"phi": ["a1 + t"]})),
+    ("accepted:velocity-u1-jets", "jets",
+     _system(1, F=["x1*u1^2 + sin(t)*u1"],
+             variables={"time": "t", "positions": ["x1"],
+                        "velocities": ["u1"]})),
 ]
 
 
@@ -206,24 +222,33 @@ def _run(args, cwd):
 
 def _run_malformed(directory):
     """Yield (name, task, exit code, stdout sha256 prefix, stderr) of each
-    MALFORMED case, run in this process through `cli.main`; an exception
-    that escapes `main` counts as exit 1 with its traceback on stderr."""
+    MALFORMED case, run in this process through `cli.main` on the relative
+    path `problem.json` inside `directory`, so that an error located at the
+    file path has the same digest in every run; an exception that escapes
+    `main` counts as exit 1 with its traceback on stderr."""
     sys.path.insert(0, str(ROOT / "src"))
     from chernsode import cli
-    path = str(Path(directory) / "problem.json")
-    for name, task, raw in MALFORMED:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(raw if isinstance(raw, str) else json.dumps(raw))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main([task, path])
-            except Exception:
-                code = 1
-                traceback.print_exc()
-        yield (name, task, code,
-               hashlib.sha256(out.getvalue().encode()).hexdigest()[:16],
-               err.getvalue().encode())
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for name, task, raw in MALFORMED:
+            if not isinstance(raw, (str, bytes)):
+                raw = json.dumps(raw)
+            with open("problem.json", "wb") as fh:
+                fh.write(raw.encode() if isinstance(raw, str) else raw)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main([task, "problem.json"])
+                except Exception:
+                    code = 1
+                    traceback.print_exc()
+            yield (name, task, code,
+                   hashlib.sha256(out.getvalue().encode()).hexdigest()[:16],
+                   err.getvalue().encode())
+    finally:
+        os.chdir(cwd)
 
 
 def main(argv=None) -> int:
