@@ -686,7 +686,7 @@ def main(argv=None) -> int:
                 else "MemoryError" if isinstance(exc, MemoryError) \
                 else type(exc).__name__
             raise CliInputError(kind, str(exc)) from None
-        except RecursionError:      # diff, simplify and to_string recurse
+        except RecursionError:      # diff recurses
             raise CliInputError("validation",
                                 "expression too deeply nested") from None
     except CliInputError as exc:

@@ -11,6 +11,9 @@ program per expression, and `run_programs` the programs of one call in one
 walk over their shared DAG, with numpy on point batteries or with `math` and
 DomainError checks at one point; `fd_diff` is the finite-difference oracle
 that cross-checks every symbolic derivative produced by `diff`.
+
+Every pass over a DAG but `diff` iterates one walk, `_postorder`, which
+yields each distinct node once after its operands, without recursion.
 """
 
 from __future__ import annotations
@@ -630,7 +633,7 @@ def fd_diff(e: Expr, name: str, env, h: float = 1e-4) -> float:
 # one positive common denominator; Fractions are built only by from_poly.  A
 # monomial is a tuple of (atom key, exponent) pairs sorted by key, the key of
 # an atom being its canonical string.  An _Expansion maps the keys back to
-# atoms and expands each compound node once.
+# atoms and expands each distinct node once.
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def simplify(e: Expr) -> Expr:
@@ -713,6 +716,10 @@ def _poly_pow(p, k):
     return out
 
 
+def _const_poly(v):
+    return ({(): v.numerator} if v else {}), v.denominator
+
+
 def _inverse_power(c, den, k):
     """(den/c)^k, the value of (c/den)^(-k), as (numerator, denominator > 0)."""
     num, d = den ** k, c ** k
@@ -721,14 +728,12 @@ def _inverse_power(c, den, k):
 
 class _Expansion:
     """State of one simplify/is_polynomial call: the atom behind each
-    monomial key, and the polynomial of every compound node expanded so far
-    (subtrees shared by several parents are expanded once)."""
+    monomial key."""
 
-    __slots__ = ("atoms", "memo")
+    __slots__ = ("atoms",)
 
     def __init__(self):
         self.atoms = {}
-        self.memo = {}
 
     def key(self, atom):
         """The monomial key of atom (its canonical string), registered."""
@@ -740,31 +745,28 @@ class _Expansion:
         return {((self.key(atom), 1),): 1}, 1
 
     def to_poly(self, e):
+        """The polynomial of e; each distinct node is expanded once."""
+        polys = {}
+        for node, args in _postorder(e, polys):
+            polys[id(node)] = self._expand(node, [polys[id(a)] for a in args])
+        return polys[id(e)]
+
+    def _expand(self, e, polys):
+        """The polynomial of e from those of its operands."""
         if isinstance(e, Const):
-            v = e.value
-            return ({(): v.numerator} if v else {}), v.denominator
+            return _const_poly(e.value)
         if isinstance(e, Var):
             return self.atom_mono(e)
-        out = self.memo.get(e)
-        if out is None:
-            out = self.memo[e] = self._expand(e)
-        return out
-
-    def _expand(self, e):
         if isinstance(e, Add):
-            polys = [self.to_poly(t) for t in e.terms]
             den = math.lcm(*(d for _, d in polys))
             acc = {}
             for terms, d in polys:
                 _poly_add(acc, terms, den // d)
             return _reduced(acc, den)
         if isinstance(e, Mul):
-            out = _POLY_ONE
-            for f in e.factors:
-                out = _poly_mul(out, self.to_poly(f))
-            return _reduced(*out)
+            return _reduced(*reduce(_poly_mul, polys, _POLY_ONE))
         if isinstance(e, Pow):
-            terms, den = self.to_poly(e.base)
+            (terms, den), = polys
             if e.exponent >= 0:
                 return _reduced(*_poly_pow((terms, den), e.exponent))
             if not terms:
@@ -784,10 +786,10 @@ class _Expansion:
             num, d = _inverse_power(c0, den, -e.exponent)
             return _reduced({((self.key(monic), e.exponent),): num}, d)
         if isinstance(e, Call):
-            arg = self.from_poly(self.to_poly(e.arg))
+            arg = self.from_poly(polys[0])
             folded = _fold_call(e.func, arg)
-            if folded is not None:
-                return self.to_poly(folded)
+            if folded is not None:      # a constant built here, not walked
+                return _const_poly(folded.value)
             return self.atom_mono(Call(e.func, arg))
         raise TypeError(f"cannot simplify {type(e).__name__}")
 
@@ -850,48 +852,58 @@ def is_polynomial(e: Expr) -> bool:
 # utilities
 # --------------------------------------------------------------------------
 
+def _postorder(e, seen):
+    """Yield (node, operands) once for each node under e, e included, whose
+    id is not in the dict `seen`: a node's operands, left to right, before
+    the node.  The walk marks an id with None when it first reaches it, and
+    the caller stores the node's value there."""
+    stack = [(None, (), iter((e,)))]
+    while stack:
+        node, args, it = stack[-1]
+        for a in it:
+            if id(a) not in seen:
+                seen[id(a)] = None
+                t = type(a)
+                sub = (a.terms if t is Add else a.factors if t is Mul else
+                       (a.base,) if t is Pow else (a.arg,) if t is Call else ())
+                if sub:
+                    stack.append((a, sub, iter(sub)))
+                    break
+                yield a, sub
+        else:
+            stack.pop()
+            if stack:
+                yield node, args
+
+
 def free_variables(e: Expr) -> frozenset:
     """Names of the variables in e; each distinct node is visited once."""
-    out, seen, stack = set(), set(), [e]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is Var:
-            out.add(node.name)
-        elif t is not Const and id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node.terms if t is Add else node.factors if t is Mul
-                         else (node.base,) if t is Pow else (node.arg,))
-    return frozenset(out)
+    return frozenset(node.name for node, _ in _postorder(e, {})
+                     if type(node) is Var)
 
 
 def substitute(e: Expr, mapping) -> Expr:
     """Replace variables by expressions (mapping name -> Expr); each distinct
     node is rebuilt once."""
-    memo = {}
-
-    def walk(node):
-        out = memo.get(id(node))
-        if out is None:
-            t = type(node)
-            if t is Const:
-                out = node
-            elif t is Var:
-                out = mapping.get(node.name, node)
-            elif t is Add:
-                out = add(*map(walk, node.terms))
-            elif t is Mul:
-                out = mul(*map(walk, node.factors))
-            elif t is Pow:
-                out = pow_(walk(node.base), node.exponent)
-            elif t is Call:
-                out = Call(node.func, walk(node.arg))
-            else:
-                raise TypeError(f"cannot substitute in {t.__name__}")
-            memo[id(node)] = out
-        return out
-
-    return walk(e)
+    out = {}
+    for node, args in _postorder(e, out):
+        t, args = type(node), [out[id(a)] for a in args]
+        if t is Const:
+            new = node
+        elif t is Var:
+            new = mapping.get(node.name, node)
+        elif t is Add:
+            new = add(*args)
+        elif t is Mul:
+            new = mul(*args)
+        elif t is Pow:
+            new = pow_(args[0], node.exponent)
+        elif t is Call:
+            new = Call(node.func, args[0])
+        else:
+            raise TypeError(f"cannot substitute in {t.__name__}")
+        out[id(node)] = new
+    return out[id(e)]
 
 
 # --------------------------------------------------------------------------
@@ -901,8 +913,9 @@ def substitute(e: Expr, mapping) -> Expr:
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
-def _render(e):
-    # returns (text, precedence of outermost construct)
+def _render(e, args):
+    """(text, precedence of the outermost construct) of e, from those of its
+    operands."""
     if isinstance(e, Const):
         v = e.value
         if v.denominator == 1:
@@ -911,30 +924,25 @@ def _render(e):
     if isinstance(e, Var):
         return (e.name, _PREC_ATOM)
     if isinstance(e, Call):
-        return (f"{e.func}({_render(e.arg)[0]})", _PREC_ATOM)
+        return (f"{e.func}({args[0][0]})", _PREC_ATOM)
     if isinstance(e, Pow):
-        base, prec = _render(e.base)
+        (base, prec), = args
         if prec < _PREC_ATOM:
             base = f"({base})"
         if e.exponent < 0:
             return (f"{base}^(-{-e.exponent})", _PREC_POW)
         return (f"{base}^{e.exponent}", _PREC_POW)
     if isinstance(e, Mul):
-        factors = e.factors
         prefix = ""
-        if factors and isinstance(factors[0], Const) and factors[0].value == -1 \
-                and len(factors) > 1:
+        if len(args) > 1 and isinstance(e.factors[0], Const) \
+                and e.factors[0].value == -1:
             prefix = "-"
-            factors = factors[1:]
-        parts = []
-        for f in factors:
-            text, prec = _render(f)
-            parts.append(f"({text})" if prec < _PREC_MUL else text)
+            args = args[1:]
+        parts = [f"({text})" if prec < _PREC_MUL else text for text, prec in args]
         return (prefix + "*".join(parts), _PREC_UNARY if prefix else _PREC_MUL)
     if isinstance(e, Add):
         out = []
-        for i, t in enumerate(e.terms):
-            text, prec = _render(t)
+        for i, (text, prec) in enumerate(args):
             if i == 0:
                 out.append(f"({text})" if prec < _PREC_ADD else text)
             elif text.startswith("-"):
@@ -946,7 +954,11 @@ def _render(e):
 
 
 def to_string(e: Expr) -> str:
-    return _render(e)[0]
+    """Re-parseable text of e; each distinct node is rendered once."""
+    texts = {}
+    for node, args in _postorder(e, texts):
+        texts[id(node)] = _render(node, [texts[id(a)] for a in args])
+    return texts[id(e)][0]
 
 
 # --------------------------------------------------------------------------
@@ -1030,46 +1042,29 @@ def _plan(roots, names):
     index = {name: i for i, name in enumerate(names)}
     slot, leaves, loads = {}, [], []    # node id -> register, ~j for result j
     code, segments, last, final, results = [], [], {}, {}, 0
-
-    def visit(node):
-        """The operands of a compound node; a leaf gets its register."""
-        t = type(node)
-        if t is Add:
-            return node.terms
-        if t is Mul:
-            return node.factors
-        if t is Pow:
-            return node.base, node.exponent
-        if t is Call:
-            return (node.arg,)
-        slot[id(node)] = len(leaves)
-        if t is Var:
-            loads.extend((len(leaves), index[node.name]))
-        leaves.append(None if t is Var else _float(node.value)
-                      if t is Const else node)      # a power's exponent
-        return ()
-
     for k, root in enumerate(roots):
         first = results
-        args = () if id(root) in slot else visit(root)
-        stack = [(root, args, iter(args))] if args else []
-        while stack:                        # operands first, left to right
-            node, args, it = stack[-1]
-            for a in it:
-                if id(a) not in slot and (sub := visit(a)):
-                    stack.append((a, sub, iter(sub)))
-                    break
-            else:
-                stack.pop()
-                regs = [slot[id(a)] for a in args]
-                if len(regs) == 1 and type(node) is not Call:
-                    slot[id(node)] = regs[0]    # a sum or product of one term
-                    continue
-                for r in regs:
-                    last[r], final[r] = len(code), k
-                slot[id(node)], results = ~results, results + 1
-                code += (_OPCODE[node.func if type(node) is Call
-                                 else type(node)], len(regs), *regs)
+        for node, args in _postorder(root, slot):
+            t = type(node)
+            if t is Var or t is Const:
+                slot[id(node)] = len(leaves)
+                if t is Var:
+                    loads.extend((len(leaves), index[node.name]))
+                leaves.append(None if t is Var else _float(node.value))
+                continue
+            regs = [slot[id(a)] for a in args]
+            if t is Pow:                    # the exponent is a leaf too
+                if id(node.exponent) not in slot:
+                    slot[id(node.exponent)] = len(leaves)
+                    leaves.append(node.exponent)
+                regs.append(slot[id(node.exponent)])
+            elif len(regs) == 1 and t is not Call:
+                slot[id(node)] = regs[0]    # a sum or product of one term
+                continue
+            for r in regs:
+                last[r], final[r] = len(code), k
+            slot[id(node)], results = ~results, results + 1
+            code += (_OPCODE[node.func if t is Call else t], len(regs), *regs)
         segments.append((results - first, slot[id(root)]))
         final[slot[id(root)]] = k
     n = len(leaves)                         # result j gets register n + j
