@@ -15,13 +15,14 @@ sampling step is seeded.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 
 import numpy as np
 
+# the modules every task runs; each task imports what else it needs, so a
+# CLI process loads and compiles only the modules its task reads
 from .expressions import (
     DomainError, ParseError, UnknownIdentifier, VarSet, parse, to_string,
 )
@@ -34,21 +35,6 @@ from .chern import (
     torsion_oracle_residual, verify_characterization,
     verify_structure_identities,
 )
-from .classify import (
-    NotPositiveDefinite, classification_report, first_prolongation_dim,
-    holonomy_spans, kosambi_invariants, _check_tx,
-)
-from .natjets import (
-    MissingInverse, VerticalAutomorphism, curvature_kernel_dim,
-    distribution_span, infinitesimal_equivariance, jet2_of, jet_space,
-    prolong1, push_sode_symbolic, push_sode_value, random_polynomial_field,
-    verify_functoriality,
-)
-from .riemann import (
-    MetricField, SingularMetric, cross_check, geodesic_spray,
-    hyperbolic_metric_signature, metric_compatibility,
-)
-from . import selftest as selftest_mod
 
 TASKS = ("analyze", "classify", "verify", "push", "jets", "riemann")
 
@@ -178,6 +164,7 @@ class Problem:
         self.metric = self._parse_metric(raw.get("metric"))
         self.U = self._parse_matrix(raw.get("U"), "U")
         if self.U is not None:
+            from .classify import _check_tx
             try:
                 _check_tx(self.U, self.vars)
             except ValueError as exc:
@@ -268,6 +255,7 @@ class Problem:
         m = self._parse_matrix(rows, "metric")
         if m is None:
             return None
+        from .riemann import MetricField
         try:
             return MetricField(vars=self.vars,
                                g=tuple(tuple(row) for row in m),
@@ -290,6 +278,7 @@ class Problem:
             raise CliInputError("validation",
                                 f"automorphism needs {self.n} components",
                                 "automorphism")
+        from .natjets import VerticalAutomorphism
         try:
             return VerticalAutomorphism(vars=self.vars, phi=phi,
                                         inverse=inverse)
@@ -387,6 +376,7 @@ def _point_list(points):
 
 
 def task_analyze(problem: Problem) -> dict:
+    from .classify import holonomy_spans, kosambi_invariants
     s, pts = problem.system, problem.points
     tol = problem.tolerances
     conn = connection(s)
@@ -432,6 +422,7 @@ def _condition_dict(result):
 
 
 def task_classify(problem: Problem) -> dict:
+    from .classify import NotPositiveDefinite, classification_report
     s, pts = problem.system, problem.points
     try:
         rep = classification_report(s, pts, U=problem.U,
@@ -499,6 +490,7 @@ def _on_samples(fn, points):
 def _check_jet_names(vars):
     """jets and push name jet coordinates after the variables (a1, a1_x1,
     a1_x1v1, ...); variables that make two of those names equal are bad."""
+    from .natjets import jet_space
     try:
         jet_space(vars)
     except ValueError as exc:
@@ -507,6 +499,9 @@ def _check_jet_names(vars):
 
 
 def task_push(problem: Problem) -> dict:
+    from .natjets import (
+        prolong1, push_sode_symbolic, push_sode_value, verify_functoriality,
+    )
     if problem.automorphism is None:
         raise CliInputError("validation", "push needs an automorphism",
                             "automorphism")
@@ -536,6 +531,11 @@ def task_push(problem: Problem) -> dict:
 
 
 def task_jets(problem: Problem) -> dict:
+    from .classify import first_prolongation_dim
+    from .natjets import (
+        curvature_kernel_dim, distribution_span, infinitesimal_equivariance,
+        jet2_of, random_polynomial_field,
+    )
     _check_jet_names(problem.vars)
     s, pts = problem.system, problem.points
     n = s.n
@@ -575,6 +575,11 @@ def task_jets(problem: Problem) -> dict:
 
 
 def task_riemann(problem: Problem) -> dict:
+    from .classify import NotPositiveDefinite
+    from .riemann import (
+        SingularMetric, cross_check, geodesic_spray,
+        hyperbolic_metric_signature, metric_compatibility,
+    )
     if problem.metric is None:
         raise CliInputError("validation", "riemann needs a metric", "metric")
     metric = problem.metric
@@ -647,13 +652,25 @@ def run(spec_path: str, task: str) -> dict:
 
 
 def run_selftest() -> dict:
-    results = selftest_mod.run_all(serialize_report)
+    from .selftest import run_all
+    results = run_all(serialize_report)
     return {"task": "selftest",
             "criteria": results,
             "pass": all(r["pass"] for r in results)}
 
 
+def _task_errors() -> tuple:
+    """SingularMetric (riemann) and MissingInverse (natjets), each only when
+    its module is loaded: a module never loaded raised nothing.  main's
+    handler calls this only once an exception reaches it."""
+    return tuple(getattr(sys.modules[module], name) for module, name in
+                 ((f"{__package__}.riemann", "SingularMetric"),
+                  (f"{__package__}.natjets", "MissingInverse"))
+                 if module in sys.modules)
+
+
 def main(argv=None) -> int:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="chernsode",
         description="Connection, curvature and jet invariants of second-order "
@@ -680,8 +697,8 @@ def main(argv=None) -> int:
             text = serialize_report(report)
         except (ParseError, UnknownIdentifier) as exc:
             raise CliInputError("syntax", str(exc)) from None
-        except (DomainError, ZeroDivisionError, SingularMetric, MissingInverse,
-                OracleMismatch, ValueError, MemoryError) as exc:
+        except (DomainError, ZeroDivisionError, OracleMismatch, ValueError,
+                MemoryError, *_task_errors()) as exc:
             kind = "DomainError" if isinstance(exc, ZeroDivisionError) \
                 else "MemoryError" if isinstance(exc, MemoryError) \
                 else type(exc).__name__

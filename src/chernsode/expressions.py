@@ -728,16 +728,20 @@ def _inverse_power(c, den, k):
 
 class _Expansion:
     """State of one simplify/is_polynomial call: the atom behind each
-    monomial key."""
+    monomial key, and the rendered text of each node under an atom."""
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "texts")
 
     def __init__(self):
         self.atoms = {}
+        self.texts = {}
 
     def key(self, atom):
-        """The monomial key of atom (its canonical string), registered."""
-        key = to_string(atom)
+        """The monomial key of atom (its canonical string), registered.  A
+        node rendered for an earlier key is not rendered again.  Its id stays
+        valid, as it lies under an atom kept in `atoms`: nodes are interned
+        and keys canonical, so the atoms of one key are one node."""
+        key = _text(atom, self.texts)
         self.atoms.setdefault(key, atom)
         return key
 
@@ -953,12 +957,17 @@ def _render(e, args):
     raise TypeError(f"cannot print {type(e).__name__}")
 
 
-def to_string(e: Expr) -> str:
-    """Re-parseable text of e; each distinct node is rendered once."""
-    texts = {}
+def _text(e, texts):
+    """The text of e, rendering each node under e whose id is not yet in
+    the dict `texts` and storing its (text, precedence) there."""
     for node, args in _postorder(e, texts):
         texts[id(node)] = _render(node, [texts[id(a)] for a in args])
     return texts[id(e)][0]
+
+
+def to_string(e: Expr) -> str:
+    """Re-parseable text of e; each distinct node is rendered once."""
+    return _text(e, {})
 
 
 # --------------------------------------------------------------------------

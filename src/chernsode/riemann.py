@@ -26,9 +26,6 @@ from .sode import (
     _kept,
 )
 from .chern import connection
-from .classify import (
-    orthogonal_residual, parallel_metric_residual, _check_spd,
-)
 
 __all__ = [
     "MetricField", "SingularMetric", "christoffel", "geodesic_spray",
@@ -262,6 +259,11 @@ def metric_compatibility(metric: MetricField, points=None, count=50,
                          seed=2024) -> dict:
     """For the spray of g: residuals of the transport system with U = g and
     of parallelism of the block metric dt^2 + g omega omega + g varpi varpi."""
+    # imported here, its one use, so that a metric read for another task
+    # does not load classify
+    from .classify import (
+        orthogonal_residual, parallel_metric_residual, _check_spd,
+    )
     s = geodesic_spray(metric)
     if points is None:
         points = sample_points(s.vars, count, seed, metric.sample_box())
