@@ -192,18 +192,21 @@ def _frame_covariant(s: SodeSystem, gamma, S, slots, a) -> np.ndarray:
     term that would fold to ZERO (the directional term of a Const entry, a
     product with a ZERO factor) is not built."""
     S = np.asarray(S, dtype=object)
+    entries = np.frompyfunc(as_expr, 1, 1)(S)   # each entry of S read once
     field = connection(s).frame[:, a]
     out = expr_array(S.shape)
     for idx in np.ndindex(S.shape):
-        entry = as_expr(S[idx])
+        entry = entries[idx]
         terms = [] if isinstance(entry, Const) \
             else [directional(field, s.coords, entry)]
         for axis, slot in enumerate(slots):
             for d in range(S.shape[axis]):
-                other = as_expr(S[idx[:axis] + (d,) + idx[axis + 1:]])
+                other = entries[idx[:axis] + (d,) + idx[axis + 1:]]
+                if other is ZERO:
+                    continue
                 g = gamma[a, d, idx[axis]] if slot == "u" \
                     else gamma[a, idx[axis], d]
-                if other is not ZERO and g is not ZERO:
+                if g is not ZERO:
                     terms.append(mul(other, g) if slot == "u"
                                  else mul(-1, g, other))
         out[idx] = add(*terms)
@@ -310,11 +313,17 @@ def _curvature_array(s: SodeSystem, gamma) -> np.ndarray:
     conn = connection(s)
     C, frame = conn.structure_functions, conn.frame
     d_gamma = expr_array((n2,) * 4)  # [a, b, c, d]: e_a Gamma[b, c, d], a != b
+    built = {}                       # (a, id of a Gamma node) -> e_a Gamma
     for idx in np.ndindex(gamma.shape):
+        g = gamma[idx]
+        if g is ZERO:
+            continue
         for a in range(n2):
-            if a != idx[0] and gamma[idx] is not ZERO:
-                d_gamma[(a,) + idx] = directional(frame[:, a], s.coords,
-                                                  gamma[idx])
+            if a != idx[0]:
+                key = a, id(g)
+                if key not in built:
+                    built[key] = directional(frame[:, a], s.coords, g)
+                d_gamma[(a,) + idx] = built[key]
     R = expr_array((n2,) * 4)
     for a, b in combinations(range(n2), 2):
         for c in range(n2):

@@ -111,8 +111,15 @@ class Expr:
         return to_string(self)
 
     # arithmetic sugar so numpy object arrays of Expr compose; NotImplemented
-    # lets ndarray operands take over via their reflected operation
+    # lets ndarray operands take over via their reflected operation.  With a
+    # ZERO operand the sugar returns at once the node add or mul would build:
+    # x * ZERO is ZERO, and x + ZERO is x (ZERO for a zero constant) unless x
+    # is a sum, which add rebuilds with its constant last
     def __add__(self, other):
+        if other is ZERO and type(self) is not Add:
+            return ZERO if self is _CONST_ZERO else self
+        if self is ZERO and isinstance(other, Expr) and type(other) is not Add:
+            return ZERO if other is _CONST_ZERO else other
         if isinstance(other, np.ndarray):
             return NotImplemented
         return add(self, _coerce(other))
@@ -120,6 +127,8 @@ class Expr:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if other is ZERO and type(self) is not Add:
+            return ZERO if self is _CONST_ZERO else self
         if isinstance(other, np.ndarray):
             return NotImplemented
         return add(self, neg(_coerce(other)))
@@ -128,6 +137,8 @@ class Expr:
         return add(_coerce(other), neg(self))
 
     def __mul__(self, other):
+        if (other is ZERO or self is ZERO) and isinstance(other, Expr):
+            return ZERO
         if isinstance(other, np.ndarray):
             return NotImplemented
         return mul(self, _coerce(other))
@@ -204,9 +215,13 @@ class Call(Expr):
 
 
 # ZERO and ONE stay out of the table: a constant built later is never one of
-# them, so `e is ZERO` means zero by construction, while const(0) == ZERO
+# them, so `e is ZERO` means zero by construction, while const(0) == ZERO.
+# The table's const(0) and const(1) are kept alive beside them, so a constant
+# of value 0 is ZERO or _CONST_ZERO and one of value 1 is ONE or _CONST_ONE:
+# add and mul test those values by identity
 ZERO, ONE = Const(0), Const(1)
 del _NODES[Const, 0], _NODES[Const, 1]
+_CONST_ZERO, _CONST_ONE = Const(0), Const(1)
 MINUS_ONE = Const(-1)
 
 
@@ -253,7 +268,7 @@ def add(*xs) -> Expr:
         for t in parts:
             if type(t) is not Const:
                 terms.append(t)
-            elif t.value:
+            elif t is not ZERO and t is not _CONST_ZERO:
                 if c is None:
                     c = t
                 else:
@@ -286,9 +301,9 @@ def mul(*xs) -> Expr:
         for f in parts:
             if type(f) is not Const:
                 factors.append(f)
-            elif not f.value:
+            elif f is ZERO or f is _CONST_ZERO:
                 zero = True
-            elif f.value != 1:
+            elif f is not ONE and f is not _CONST_ONE:
                 if c is None:
                     c = f
                 else:
@@ -1050,16 +1065,19 @@ def _plan(roots, names):
     later segment reads."""
     index = {name: i for i, name in enumerate(names)}
     slot, leaves, loads = {}, [], []    # node id -> register, ~j for result j
-    code, segments, last, final, results = [], [], {}, {}, 0
+    code, segments, reads, results = [], [], {}, 0
     for k, root in enumerate(roots):
         first = results
         for node, args in _postorder(root, slot):
             t = type(node)
-            if t is Var or t is Const:
+            if t is Var:
                 slot[id(node)] = len(leaves)
-                if t is Var:
-                    loads.extend((len(leaves), index[node.name]))
-                leaves.append(None if t is Var else _float(node.value))
+                loads += (len(leaves), index[node.name])
+                leaves.append(None)
+                continue
+            if t is Const:
+                slot[id(node)] = len(leaves)
+                leaves.append(_float(node.value))
                 continue
             regs = [slot[id(a)] for a in args]
             if t is Pow:                    # the exponent is a leaf too
@@ -1070,25 +1088,32 @@ def _plan(roots, names):
             elif len(regs) == 1 and t is not Call:
                 slot[id(node)] = regs[0]    # a sum or product of one term
                 continue
+            at = len(code), k               # where each operand is read last
             for r in regs:
-                last[r], final[r] = len(code), k
+                reads[r] = at
             slot[id(node)], results = ~results, results + 1
             code += (_OPCODE[node.func if t is Call else t], len(regs), *regs)
         segments.append((results - first, slot[id(root)]))
-        final[slot[id(root)]] = k
+        reads[slot[id(root)]] = None, k     # read as the segment ends
     n = len(leaves)                         # result j gets register n + j
     code = [c if c >= 0 else n + ~c for c in code]
     kept = {top for _, top in segments}
-    for r, at in last.items():              # lend where read for the last time
-        operands = code[at + 2:at + 2 + code[at + 1]]
-        if r < 0 and r not in kept and code[at] < 8 \
-                and code[at] != _OPCODE[Pow] and operands.count(n + ~r) == 1 \
-                and n + ~r in operands[:2]:
-            code[at] += (n + ~r + 1) << 3
     gone = [[] for _ in segments[1:]]       # the walk ends after the last
-    for r, k in final.items():
-        if r < 0 and k < len(gone):
-            gone[k].append(n + ~r)
+    for r, (at, k) in reads.items():
+        if r >= 0:
+            continue
+        reg = n + ~r
+        if k < len(gone):
+            gone[k].append(reg)
+        if r in kept:
+            continue
+        # lend where read for the last time: once, by a call, or once and as
+        # one of the first two operands of a sum or product
+        op = code[at]
+        if op < 2 and reg in (code[at + 2], code[at + 3]) \
+                and code[at + 2:at + 2 + code[at + 1]].count(reg) == 1 \
+                or 2 < op < 8 and code[at + 2] == reg:
+            code[at] = op + ((reg + 1) << 3)
     return (tuple(leaves), tuple(loads), array("i", code),
             tuple((count, top if top >= 0 else n + ~top, tuple(drop))
                   for (count, top), drop in zip(segments, gone + [()])))

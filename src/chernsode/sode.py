@@ -363,7 +363,8 @@ class Residual(NamedTuple):
 def reduce_residual(blocks, s: SodeSystem, batch) -> Residual:
     """Reduce (label, Expr array) pairs on a point batch, entry by entry in
     order in one walk (`run_programs`), so a node that entries share is
-    computed once, taking |value| once per entry.  A non-finite value ranks
+    computed once, taking |value| and its max once per entry (the point of
+    the max only when the entry sets a new worst).  A non-finite value ranks
     above every finite one: `worst` is then NaN and the witness is the first
     block, entry and point holding one.  Among finite values the first
     largest |value| wins, so a ZERO entry, which can never win, is not
@@ -378,12 +379,16 @@ def reduce_residual(blocks, s: SodeSystem, batch) -> Residual:
         if not vals.size:
             continue
         mags = np.abs(vals)
-        k = int(np.argmax(mags))            # the first NaN, if there is one
-        top = float(mags[k]) if math.isfinite(mags[k]) else math.nan
-        bad = np.flatnonzero(~np.isfinite(mags)) if math.isnan(top) else []
-        if not nonfinite and (len(bad) or top > out.worst):
-            k = int(bad[0]) if len(bad) else k
-            out = Residual(top, label, 0, entry, k, float(vals[k]))
+        top = float(mags.max())             # not finite if a value is not
+        if math.isfinite(top):
+            if not nonfinite and top > out.worst:
+                k = int(np.argmax(mags))
+                out = Residual(top, label, 0, entry, k, float(vals[k]))
+            continue
+        bad = np.flatnonzero(~np.isfinite(mags))
+        if not nonfinite:
+            k = int(bad[0])
+            out = Residual(math.nan, label, 0, entry, k, float(vals[k]))
         nonfinite += len(bad)
     return out._replace(nonfinite=nonfinite)
 

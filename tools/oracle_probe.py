@@ -8,16 +8,17 @@ verify` in its order in this one process, and prints one row per residual
 (like `verify`, it reports item (4) of `verify_characterization` also as
 `torsion_oracle`, on that call's row), with the columns
 
-    oracle  seconds  operations  programs  diff_lookups  diff_misses
-    maxrss_mib  residual-key  residual  tolerance
+    oracle  seconds  plan_s  operations  programs  diff_lookups
+    diff_misses  maxrss_mib  residual-key  residual  tolerance
 
 followed by the totals.  An oracle's seconds include the symbolic arrays it
-is the first to build.  `operations` counts the instructions of the walks
-the oracle plans (`expressions._plan`), each of which runs once per walk,
-so a node that several entries share counts once; `programs` counts the
-programs `compile_expr` builds (`expressions._Program`), one per entry not
-already in its cache.  Both are counted by wrapping those two names here,
-not by the library.  `diff_lookups` and `diff_misses` are the lookups of
+is the first to build.  `plan_s` is the part of those seconds spent inside
+`expressions._plan`, planning the oracle's walks.  `operations` counts the
+instructions of the walks the oracle plans, each of which runs once per
+walk, so a node that several entries share counts once; `programs` counts
+the programs `compile_expr` builds (`expressions._Program`), one per entry
+not already in its cache.  All three are measured by wrapping those two
+names here, not by the library.  `diff_lookups` and `diff_misses` are the lookups of
 the `sode._diff` LRU during the oracle and the ones it had to compute, read
 from `cache_info()` deltas: the lookups count the derivative requests, and
 the misses the derivatives no earlier request had built (or that the LRU
@@ -56,11 +57,14 @@ ORACLES = (
 
 def _count(counts):
     """Wrap `expressions._plan` and `expressions._Program` so that they add
-    the operations planned and the programs built to `counts`."""
+    the seconds spent planning, the operations planned and the programs
+    built to `counts`."""
     plan, program = expressions._plan, expressions._Program
 
     def counted_plan(roots, names):
+        t0 = time.perf_counter()
         out = plan(roots, names)
+        counts["plan_s"] += time.perf_counter() - t0
         counts["operations"] += sum(count for count, _, _ in out[3])
         return out
 
@@ -78,11 +82,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     s = random_polynomial_sode(args.n, seed=3000)
     pts = sample_points(s.vars, 50, 1)
-    counts = dict.fromkeys(("operations", "programs"), 0)
+    counts = dict.fromkeys(("plan_s", "operations", "programs"), 0)
     _count(counts)
-    failed, total, operations, programs, lookups, misses = 0, 0.0, 0, 0, 0, 0
+    failed, total, plan_s, operations, programs, lookups, misses = \
+        0, 0.0, 0.0, 0, 0, 0, 0
     for name, key in ORACLES:
-        counts.update(operations=0, programs=0)
+        counts.update(plan_s=0.0, operations=0, programs=0)
         before = sode._diff.cache_info()
         t0 = time.perf_counter()
         result = getattr(chern, name)(s, pts)
@@ -92,6 +97,7 @@ def main(argv=None) -> int:
         diff_lookups = after.hits - before.hits + diff_misses
         maxrss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         total += seconds
+        plan_s += counts["plan_s"]
         operations += counts["operations"]
         programs += counts["programs"]
         lookups += diff_lookups
@@ -107,13 +113,13 @@ def main(argv=None) -> int:
             tol = DEFAULT_TOLERANCES["oracle" if "oracle" in label
                                      else "identity"]
             failed += not (math.isfinite(value) and value <= tol)
-            print(f"{name:28s} {seconds:8.3f} {counts['operations']:10d} "
-                  f"{counts['programs']:8d} {diff_lookups:12d} "
-                  f"{diff_misses:11d} {maxrss_mib:10.2f} "
+            print(f"{name:28s} {seconds:8.3f} {counts['plan_s']:8.3f} "
+                  f"{counts['operations']:10d} {counts['programs']:8d} "
+                  f"{diff_lookups:12d} {diff_misses:11d} {maxrss_mib:10.2f} "
                   f"{label:40s} {value:.3e} {tol:g}",
                   flush=True)
-    print(f"{'total':28s} {total:8.3f} {operations:10d} {programs:8d} "
-          f"{lookups:12d} {misses:11d} {maxrss_mib:10.2f}")
+    print(f"{'total':28s} {total:8.3f} {plan_s:8.3f} {operations:10d} "
+          f"{programs:8d} {lookups:12d} {misses:11d} {maxrss_mib:10.2f}")
     return 1 if failed else 0
 
 
