@@ -703,7 +703,9 @@ def main(argv=None) -> int:
                 else "MemoryError" if isinstance(exc, MemoryError) \
                 else type(exc).__name__
             raise CliInputError(kind, str(exc)) from None
-        except RecursionError:      # diff recurses
+        # no expression pass recurses; a stack that overflows anywhere
+        # else still reads as too deep an input
+        except RecursionError:
             raise CliInputError("validation",
                                 "expression too deeply nested") from None
     except CliInputError as exc:

@@ -12,8 +12,8 @@ walk over their shared DAG, with numpy on point batteries or with `math` and
 DomainError checks at one point; `fd_diff` is the finite-difference oracle
 that cross-checks every symbolic derivative produced by `diff`.
 
-Every pass over a DAG but `diff` iterates one walk, `_postorder`, which
-yields each distinct node once after its operands, without recursion.
+Every pass over a DAG iterates one walk, `_postorder`, which yields each
+distinct node once after its operands, without recursion.
 """
 
 from __future__ import annotations
@@ -326,14 +326,14 @@ def pow_(base, exponent: int) -> Expr:
         raise TypeError("exponents must be integers")
     if exponent == 0:
         return ONE
+    if isinstance(base, Pow):   # (b^k)^m is b^(k m); a Pow base is never a Pow
+        base, exponent = base.base, base.exponent * exponent
     if exponent == 1:
         return base
     if isinstance(base, Const):
         if base.value == 0 and exponent < 0:
             raise ZeroDivisionError("0 raised to a negative power")
         return Const(base.value ** exponent)
-    if isinstance(base, Pow):
-        return pow_(base.base, base.exponent * exponent)
     return Pow(base, exponent)
 
 
@@ -563,54 +563,54 @@ def parse(text: str, vars: VarSet) -> Expr:
 # differentiation, and the finite-difference oracle that checks it
 # --------------------------------------------------------------------------
 
-def diff(e: Expr, name: str, _memo=None) -> Expr:
-    """d e / d name.  The recursion passes one memo, keyed by compound node,
-    from the outermost call down, so a node that the DAG shares is
-    differentiated once per call and the time is linear in the distinct
-    nodes."""
-    if isinstance(e, Const):
+def diff(e: Expr, name: str, _table=None) -> Expr:
+    """d e / d name.  A constant or variable is answered at once; otherwise
+    the outermost call walks `_postorder` and enters each distinct node once
+    through the module-level name, `diff(node, name, table)`, which applies
+    the rule of that node to its operands' derivatives in the table, keyed
+    by id, of this one call.  So a node that the DAG shares is
+    differentiated once per call, the time is linear in the distinct nodes,
+    and no depth is limited."""
+    t = type(e)
+    if t is Const:
         return ZERO
-    if isinstance(e, Var):
+    if t is Var:
         return ONE if e.name == name else ZERO
-    if _memo is None:
-        _memo = {}
-    else:
-        out = _memo.get(e)
-        if out is not None:
-            return out
-    if isinstance(e, Add):
-        out = add(*[diff(t, name, _memo) for t in e.terms])
-    elif isinstance(e, Mul):
+    if _table is None:
+        table = {}
+        for node, _ in _postorder(e, table):
+            table[id(node)] = diff(node, name, table)
+        return table[id(e)]
+    if t is Add:
+        return add(*[d for a in e.terms if (d := _table[id(a)]) is not ZERO])
+    if t is Mul:
         terms = []
-        for i, f in enumerate(e.factors):
-            df = diff(f, name, _memo)
+        factors = e.factors
+        for i, f in enumerate(factors):
+            df = _table[id(f)]
             if df is not ZERO:
-                terms.append(mul(*e.factors[:i], df, *e.factors[i + 1:]))
-        out = add(*terms)
-    elif isinstance(e, Pow):
-        db = diff(e.base, name, _memo)
-        out = ZERO if db is ZERO else \
+                terms.append(mul(*factors[:i], df, *factors[i + 1:]))
+        return add(*terms)
+    if t is Pow:
+        db = _table[id(e.base)]
+        return ZERO if db is ZERO else \
             mul(e.exponent, pow_(e.base, e.exponent - 1), db)
-    elif isinstance(e, Call):
-        da = diff(e.arg, name, _memo)
+    if t is Call:
+        da = _table[id(e.arg)]
         if da is ZERO:
-            out = ZERO
-        else:
-            if e.func == "sin":
-                outer = Call("cos", e.arg)
-            elif e.func == "cos":
-                outer = neg(Call("sin", e.arg))
-            elif e.func == "exp":
-                outer = e
-            elif e.func == "log":
-                outer = pow_(e.arg, -1)
-            else:  # sqrt
-                outer = div(const(Fraction(1, 2)), e)
-            out = mul(outer, da)
-    else:
-        raise TypeError(f"cannot differentiate {type(e).__name__}")
-    _memo[e] = out
-    return out
+            return ZERO
+        if e.func == "sin":
+            outer = Call("cos", e.arg)
+        elif e.func == "cos":
+            outer = neg(Call("sin", e.arg))
+        elif e.func == "exp":
+            outer = e
+        elif e.func == "log":
+            outer = pow_(e.arg, -1)
+        else:  # sqrt
+            outer = div(const(Fraction(1, 2)), e)
+        return mul(outer, da)
+    raise TypeError(f"cannot differentiate {t.__name__}")
 
 
 def richardson(g, h: float):

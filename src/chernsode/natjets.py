@@ -115,9 +115,12 @@ def _total_time(f: Expr, vars) -> Expr:
 
 
 def _at(X, env) -> np.ndarray:
-    """`evaluate` of each entry of the object array X at env, in X's shape."""
+    """`evaluate` of each entry of the object array X at env, in X's shape
+    and in its flat order, so the first entry that raises DomainError is
+    the first in that order; a number entry is taken as a constant."""
     X = np.asarray(X, dtype=object)
-    return np.array([evaluate(e, env) for e in X.flat]).reshape(X.shape)
+    return np.array([evaluate(as_expr(e), env)
+                     for e in X.flat]).reshape(X.shape)
 
 
 @dataclass(frozen=True)
@@ -299,7 +302,7 @@ class UJet:
 
     def values_for(self, u, env):
         """Numeric placeholder values for a concrete field at a base point."""
-        return [evaluate(e, env) for e in self.substitution_for(u).values()]
+        return _at(list(self.substitution_for(u).values()), env).tolist()
 
     def random_values(self, count, seed, degree=4):
         """Placeholder values of `count` random centered polynomial fields
@@ -603,13 +606,12 @@ class VerticalAutomorphism:
         for p in points:
             pushed = prolong1(self, p)
             env = p.env(self.vars)
-            jm = [[evaluate(as_expr(e), env) for e in row] for row in J]
-            if abs(np.linalg.det(jm)) < 1e-8:
+            if abs(np.linalg.det(_at(J, env))) < 1e-8:
                 raise ValueError(f"singular Jacobian at {p}")
             if self.inverse is not None:
                 env.update(zip(self.vars.positions, pushed.x))
-                back = [evaluate(c, env) for c in self.inverse]
-                if not worst_abs(np.subtract(back, p.x)) <= 1e-10:
+                back = _at(self.inverse, env)
+                if not worst_abs(back - p.x) <= 1e-10:
                     raise ValueError(f"inverse fails round-trip at {p}")
 
     def inverted(self) -> "VerticalAutomorphism":
@@ -694,7 +696,7 @@ def _prolong1_exprs(auto: VerticalAutomorphism) -> np.ndarray:
 def prolong1(auto: VerticalAutomorphism, p: JetPoint1) -> JetPoint1:
     env = p.env(auto.vars)
     m = _prolong1_exprs(auto)
-    vals = [evaluate(as_expr(c), env) for c in m]
+    vals = _at(m, env).tolist()
     n = auto.n
     return JetPoint1(vals[0], tuple(vals[1:1 + n]), tuple(vals[1 + n:]))
 

@@ -8,24 +8,28 @@ verify` in its order in this one process, and prints one row per residual
 (like `verify`, it reports item (4) of `verify_characterization` also as
 `torsion_oracle`, on that call's row), with the columns
 
-    oracle  seconds  plan_s  operations  programs  diff_lookups
+    oracle  seconds  plan_s  diff_s  operations  programs  diff_lookups
     diff_misses  maxrss_mib  residual-key  residual  tolerance
 
 followed by the totals.  An oracle's seconds include the symbolic arrays it
 is the first to build.  `plan_s` is the part of those seconds spent inside
-`expressions._plan`, planning the oracle's walks.  `operations` counts the
-instructions of the walks the oracle plans, each of which runs once per
-walk, so a node that several entries share counts once; `programs` counts
-the programs `compile_expr` builds (`expressions._Program`), one per entry
-not already in its cache.  All three are measured by wrapping those two
-names here, not by the library.  `diff_lookups` and `diff_misses` are the lookups of
-the `sode._diff` LRU during the oracle and the ones it had to compute, read
-from `cache_info()` deltas: the lookups count the derivative requests, and
-the misses the derivatives no earlier request had built (or that the LRU
-had evicted).  `maxrss_mib` is the peak resident set size of the
-process (`ru_maxrss`) after the oracle, in MiB: the first row that shows
-the final value names the oracle that set the peak.  The script exits 1
-when a residual is not finite or exceeds the `verify` tolerance of its key
+`expressions._plan`, planning the oracle's walks, and `diff_s` the part
+spent inside outermost `diff` calls, building the derivatives that the
+`sode._diff` LRU misses.  `operations` counts the instructions of the walks
+the oracle plans, each of which runs once per walk, so a node that several
+entries share counts once; `programs` counts the programs `compile_expr`
+builds (`expressions._Program`), one per entry not already in its cache.
+All four are measured by wrapping names here, not by the library: `_plan`,
+`_Program`, and the `diff` that `sode._diff` calls, so that the entries of
+one call into each node through `expressions.diff` are not timed again.
+`diff_lookups` and `diff_misses` are the lookups of the `sode._diff` LRU
+during the oracle and the ones it had to compute, read from `cache_info()`
+deltas: the lookups count the derivative requests, and the misses the
+derivatives no earlier request had built (or that the LRU had evicted).
+`maxrss_mib` is the peak resident set size of the process (`ru_maxrss`)
+after the oracle, in MiB: the first row that shows the final value names
+the oracle that set the peak.  The script exits 1 when a residual is not
+finite or exceeds the `verify` tolerance of its key
 (`cli.DEFAULT_TOLERANCES`: "oracle" for keys naming an oracle, "identity"
 for the others), and 0 otherwise.
 """
@@ -56,10 +60,11 @@ ORACLES = (
 
 
 def _count(counts):
-    """Wrap `expressions._plan` and `expressions._Program` so that they add
-    the seconds spent planning, the operations planned and the programs
-    built to `counts`."""
-    plan, program = expressions._plan, expressions._Program
+    """Wrap `expressions._plan`, `expressions._Program` and the `diff` that
+    `sode._diff` calls so that they add the seconds spent planning, the
+    operations planned, the programs built and the seconds spent
+    differentiating to `counts`."""
+    plan, program, diff = expressions._plan, expressions._Program, sode.diff
 
     def counted_plan(roots, names):
         t0 = time.perf_counter()
@@ -72,7 +77,14 @@ def _count(counts):
         counts["programs"] += 1
         return program(e, names)
 
+    def timed_diff(e, name):
+        t0 = time.perf_counter()
+        out = diff(e, name)
+        counts["diff_s"] += time.perf_counter() - t0
+        return out
+
     expressions._plan, expressions._Program = counted_plan, counted_program
+    sode.diff = timed_diff
 
 
 def main(argv=None) -> int:
@@ -82,12 +94,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     s = random_polynomial_sode(args.n, seed=3000)
     pts = sample_points(s.vars, 50, 1)
-    counts = dict.fromkeys(("plan_s", "operations", "programs"), 0)
+    counts = dict.fromkeys(("plan_s", "diff_s", "operations", "programs"), 0)
     _count(counts)
-    failed, total, plan_s, operations, programs, lookups, misses = \
-        0, 0.0, 0.0, 0, 0, 0, 0
+    failed, total, plan_s, diff_s, operations, programs, lookups, misses = \
+        0, 0.0, 0.0, 0.0, 0, 0, 0, 0
     for name, key in ORACLES:
-        counts.update(plan_s=0.0, operations=0, programs=0)
+        counts.update(plan_s=0.0, diff_s=0.0, operations=0, programs=0)
         before = sode._diff.cache_info()
         t0 = time.perf_counter()
         result = getattr(chern, name)(s, pts)
@@ -98,6 +110,7 @@ def main(argv=None) -> int:
         maxrss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         total += seconds
         plan_s += counts["plan_s"]
+        diff_s += counts["diff_s"]
         operations += counts["operations"]
         programs += counts["programs"]
         lookups += diff_lookups
@@ -114,12 +127,12 @@ def main(argv=None) -> int:
                                      else "identity"]
             failed += not (math.isfinite(value) and value <= tol)
             print(f"{name:28s} {seconds:8.3f} {counts['plan_s']:8.3f} "
-                  f"{counts['operations']:10d} {counts['programs']:8d} "
-                  f"{diff_lookups:12d} {diff_misses:11d} {maxrss_mib:10.2f} "
+                  f"{counts['diff_s']:8.3f} {counts['operations']:10d} "
+                  f"{counts['programs']:8d} {diff_lookups:12d} {diff_misses:11d} {maxrss_mib:10.2f} "
                   f"{label:40s} {value:.3e} {tol:g}",
                   flush=True)
-    print(f"{'total':28s} {total:8.3f} {plan_s:8.3f} {operations:10d} "
-          f"{programs:8d} {lookups:12d} {misses:11d} {maxrss_mib:10.2f}")
+    print(f"{'total':28s} {total:8.3f} {plan_s:8.3f} {diff_s:8.3f} "
+          f"{operations:10d} {programs:8d} {lookups:12d} {misses:11d} {maxrss_mib:10.2f}")
     return 1 if failed else 0
 
 
