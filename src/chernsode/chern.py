@@ -41,6 +41,7 @@ __all__ = [
     "connection", "connection_data", "covariant_derivative", "torsion",
     "curvature",
     "verify_characterization", "verify_structure_identities",
+    "verify_residuals",
 ]
 
 
@@ -496,3 +497,15 @@ def eigenstructure_residual(s: SodeSystem, points) -> float:
     expected = np.sort(np.array([0.0] + [1.0] * s.n + [-1.0] * s.n))
     diagonal = np.diagonal(vals, axis1=0, axis2=1)    # [point, k]
     return worst_abs(np.sort(diagonal, axis=-1) - expected)
+
+
+def verify_residuals(s: SodeSystem, points) -> dict:
+    """The residuals of `chernsode verify`, keyed and ordered as its report;
+    item (4) of the characterization is the torsion-oracle residual."""
+    residuals = verify_structure_identities(s, points)
+    char = verify_characterization(s, points)
+    residuals["torsion_oracle"] = char["torsion_match"]
+    residuals["curvature_oracle"] = curvature_oracle_residual(s, points)
+    residuals.update((f"characterization_{k}", v) for k, v in char.items())
+    residuals["eigenstructure"] = eigenstructure_residual(s, points)
+    return residuals

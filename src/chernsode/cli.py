@@ -32,8 +32,7 @@ from .sode import (
 )
 from .chern import (
     connection, curvature_oracle_residual, eigenstructure_residual,
-    torsion_oracle_residual, verify_characterization,
-    verify_structure_identities,
+    torsion_oracle_residual, verify_residuals,
 )
 
 TASKS = ("analyze", "classify", "verify", "push", "jets", "riemann")
@@ -100,20 +99,26 @@ def serialize_report(report) -> str:
 DEFAULT_TOLERANCES = {"identity": 1e-9, "oracle": 1e-10, "rank": 1e-8}
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; true and false are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _integer(value, where, message, low=None) -> int:
+    """The JSON integer at `where`, not below `low`; true and false are not
+    integers here.  Else a validation error at `where` with `message`."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or low is not None and value < low:
+        raise CliInputError("validation", message, where)
+    return value
 
 
-def _finite(value):
-    """A JSON number as a finite float, else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
+def _finite(value, where, message, low=None) -> float:
+    """The JSON number at `where` as a finite float, not below `low`.  Else a
+    validation error at `where` with `message`."""
     try:
-        value = float(value)
+        number = math.nan if isinstance(value, bool) \
+            or not isinstance(value, (int, float)) else float(value)
     except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
+        number = math.nan
+    if not math.isfinite(number) or low is not None and number < low:
+        raise CliInputError("validation", message, where)
+    return number
 
 
 def _object(value, where, keys, message=None) -> dict:
@@ -148,11 +153,8 @@ class Problem:
                                   "metric", "U", "automorphism", "tolerances",
                                   "tasks"), "top level must be an object")
         self.raw = raw
-        n = raw.get("dimension")
-        if not _is_int(n) or n < 1:
-            raise CliInputError("validation", "dimension must be a positive "
-                                "integer", "dimension")
-        self.n = n
+        self.n = n = _integer(raw.get("dimension"), "dimension",
+                              "dimension must be a positive integer", 1)
         self.vars = self._parse_vars(raw.get("variables"))
         self.system = SodeSystem(vars=self.vars,
                                  F=tuple(self._expr(text, f"F[{i}]")
@@ -173,11 +175,9 @@ class Problem:
         self.tolerances = dict(DEFAULT_TOLERANCES)
         for key, val in _object(raw.get("tolerances"), "tolerances",
                                 DEFAULT_TOLERANCES).items():
-            val = _finite(val)
-            if val is None or val < 0:
-                raise CliInputError("validation", f"tolerance {key!r} must be "
-                                    "a finite number >= 0", f"tolerances.{key}")
-            self.tolerances[key] = val
+            self.tolerances[key] = _finite(
+                val, f"tolerances.{key}",
+                f"tolerance {key!r} must be a finite number >= 0", 0)
         self.tasks = raw.get("tasks")
         if self.tasks is not None:
             for name in _list(self.tasks, "tasks",
@@ -294,8 +294,9 @@ class Problem:
         for role, bounds in box.items():
             where = f"samples.box.{role}"
             message = f"{where} must be two finite numbers [lo, hi]"
-            pair = [_finite(b) for b in _list(bounds, where, message, 2)]
-            if None in pair or not math.isfinite(pair[1] - pair[0]):
+            pair = [_finite(b, where, message)
+                    for b in _list(bounds, where, message, 2)]
+            if not math.isfinite(pair[1] - pair[0]):
                 raise CliInputError("validation", message, where)
             out[role] = tuple(pair)
         return out
@@ -310,12 +311,10 @@ class Problem:
             width = 2 * self.n + 1
             for k, row in enumerate(pts):
                 where = f"samples.points[{k}]"
-                _list(row, where, f"point {k} must have {width} entries",
-                      width)
-                if None in map(_finite, row):
-                    raise CliInputError(
-                        "validation",
-                        f"point {k} entries must be finite numbers", where)
+                for value in _list(row, where, f"point {k} must have "
+                                   f"{width} entries", width):
+                    _finite(value, where,
+                            f"point {k} entries must be finite numbers")
             return JetPoints(pts)
         if mode != "random":
             raise CliInputError("validation",
@@ -325,16 +324,10 @@ class Problem:
             raise CliInputError("validation",
                                 "random sampling requires a seed",
                                 "samples.seed")
-        seed = spec["seed"]
-        if not _is_int(seed) or seed < 0:
-            raise CliInputError("validation",
-                                "samples.seed must be a non-negative integer",
-                                "samples.seed")
-        count = spec.get("count", 25)
-        if not _is_int(count):
-            raise CliInputError("validation",
-                                "samples.count must be an integer",
-                                "samples.count")
+        seed = _integer(spec["seed"], "samples.seed",
+                        "samples.seed must be a non-negative integer", 0)
+        count = _integer(spec.get("count", 25), "samples.count",
+                         "samples.count must be an integer")
         if count < 1:
             raise CliInputError("validation",
                                 "samples.count must be at least 1",
@@ -365,6 +358,12 @@ def _residual_entry(val, tol, **extra):
     finite = math.isfinite(val)
     return {"residual": val if finite else None, **extra,
             "pass": bool(finite and val <= tol)}
+
+
+def residual_limit(key, tolerances):
+    """The tolerance that gates the residual `key`: "oracle" when the key
+    names an oracle, "identity" otherwise."""
+    return tolerances["oracle" if "oracle" in key else "identity"]
 
 
 def _point(p):
@@ -402,7 +401,7 @@ def task_analyze(problem: Problem) -> dict:
                 np.asarray(kos.charpoly, dtype=object), s, pts),
         },
         "holonomy_span_per_point": holonomy_spans(s, pts, tol["rank"]),
-        "checks": {key: _residual_entry(val, tol["oracle"])
+        "checks": {key: _residual_entry(val, residual_limit(key, tol))
                    for key, val in checks.items()},
     }
     report["pass"] = all(c["pass"] for c in report["checks"].values())
@@ -452,21 +451,10 @@ def task_classify(problem: Problem) -> dict:
 
 
 def task_verify(problem: Problem) -> dict:
-    s, pts = problem.system, problem.points
-    tol = problem.tolerances
-    residuals = {}
-    residuals.update(verify_structure_identities(s, pts))
-    # item (4) of the characterization reduces the torsion-oracle deltas on
-    # the same batch, so it is the torsion-oracle residual
-    characterization = verify_characterization(s, pts)
-    residuals["torsion_oracle"] = characterization["torsion_match"]
-    residuals["curvature_oracle"] = curvature_oracle_residual(s, pts)
-    for key, val in characterization.items():
-        residuals[f"characterization_{key}"] = val
-    residuals["eigenstructure"] = eigenstructure_residual(s, pts)
+    pts = problem.points
     report = {"points": len(pts), "residuals": {}}
-    for key, val in residuals.items():
-        limit = tol["oracle"] if "oracle" in key else tol["identity"]
+    for key, val in verify_residuals(problem.system, pts).items():
+        limit = residual_limit(key, problem.tolerances)
         report["residuals"][key] = _residual_entry(val, limit, tolerance=limit)
     report["pass"] = all(c["pass"] for c in report["residuals"].values())
     return report
@@ -534,7 +522,7 @@ def task_jets(problem: Problem) -> dict:
     from .classify import first_prolongation_dim
     from .natjets import (
         curvature_kernel_dim, distribution_span, infinitesimal_equivariance,
-        jet2_of, random_polynomial_field,
+        jet2_of, random_polynomial_field, svd_gap,
     )
     _check_jet_names(problem.vars)
     s, pts = problem.system, problem.points
@@ -548,8 +536,7 @@ def task_jets(problem: Problem) -> dict:
         raise CliInputError("LinAlgError", "the 2-jet of F is not finite "
                             "at this sample", "samples.points[0]") from None
     expected = 11 if n == 1 else n * (3 * n * n + 11 * n + 10) // 2
-    gap = float(svals[expected - 1] / svals[expected]) \
-        if len(svals) > expected and svals[expected] > 0 else float(1e18)
+    gap = svd_gap(svals, expected)
     kernel = curvature_kernel_dim(s, p)
     kernel_expected = 3 * n * (n + 2) * (n + 1) // 2
     equiv = worst_abs([

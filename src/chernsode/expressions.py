@@ -1092,7 +1092,10 @@ def _plan(roots, names):
             for r in regs:
                 reads[r] = at
             slot[id(node)], results = ~results, results + 1
-            code += (_OPCODE[node.func if t is Call else t], len(regs), *regs)
+            op = _OPCODE.get(node.func if t is Call else t)
+            if op is None:
+                raise TypeError(f"cannot evaluate {t.__name__}")
+            code += (op, len(regs), *regs)
         segments.append((results - first, slot[id(root)]))
         reads[slot[id(root)]] = None, k     # read as the segment ends
     n = len(leaves)                         # result j gets register n + j

@@ -46,7 +46,7 @@ __all__ = [
     "push_sode_symbolic", "pushed_jet2", "verify_functoriality",
     "curvature_mapping", "jet2_of", "prolong_vertical_field",
     "infinitesimal_equivariance", "compose",
-    "random_automorphism", "curvature_kernel_dim",
+    "random_automorphism", "curvature_kernel_dim", "svd_gap",
 ]
 
 
@@ -540,6 +540,13 @@ def distribution_span(n, s: SodeSystem, p: JetPoint1, sample_count=None,
     if sample_count is None:
         sample_count = len(order) + 10
     return _field_jet_span(s, p, order, sample_count, seed, 4)
+
+
+def svd_gap(svals, rank) -> float:
+    """svals[rank - 1] / svals[rank]; 1e18 when svals[rank] is missing or 0."""
+    if len(svals) > rank and svals[rank] > 0:
+        return float(svals[rank - 1] / svals[rank])
+    return 1e18
 
 
 def order0_distribution_rank(n, s: SodeSystem, p: JetPoint1) -> int:

@@ -18,10 +18,7 @@ from .sode import (
     SodeSystem, max_abs, random_polynomial_sode, sample_points,
     splitting_curvature, worst_abs, zero_symbolically, _jacobian,
 )
-from .chern import (
-    connection, curvature_oracle_residual, eigenstructure_residual,
-    verify_characterization, verify_structure_identities,
-)
+from .chern import connection, verify_residuals, verify_structure_identities
 from .classify import (
     first_prolongation_dim, kosambi_invariants,
     special_coordinate_conditions, unimodular_test,
@@ -29,7 +26,7 @@ from .classify import (
 from .natjets import (
     curvature_kernel_dim, curvature_mapping_exprs, distribution_span,
     infinitesimal_equivariance, jet_substitution, random_automorphism,
-    random_polynomial_field, verify_functoriality,
+    random_polynomial_field, svd_gap, verify_functoriality,
 )
 from .riemann import (
     cross_check, flat_metric, geodesic_spray, hyperbolic_metric_signature,
@@ -83,22 +80,14 @@ def battery_systems(count=20):
 def criterion_identity_battery(count=20, points_per=50):
     """C2: structure identities, both oracles and the four characterization
     items on seeded random systems; C3 shares its points (eigenstructure)."""
-    found = {key: [] for key in (
-        "eq_As", "eq_3T", "torsion_oracle", "curvature_oracle",
-        "flow_parallel", "eigenstructure_parallel", "swap_parallel",
-        "torsion_match", "eigen")}
+    found = {}
     for k, s in enumerate(battery_systems(count)):
         pts = sample_points(s.vars, points_per, seed=500 + k)
-        # item (4) of the characterization is the torsion-oracle residual
-        char = verify_characterization(s, pts)
-        row = dict(verify_structure_identities(s, pts),
-                   torsion_oracle=char["torsion_match"],
-                   curvature_oracle=curvature_oracle_residual(s, pts),
-                   **char, eigen=eigenstructure_residual(s, pts))
-        for key, val in row.items():
-            found[key].append(val)
+        for key, val in verify_residuals(s, pts).items():
+            found.setdefault(key.removeprefix("characterization_"),
+                             []).append(val)
     worst = {key: worst_abs(vals) for key, vals in found.items()}
-    eigen = worst.pop("eigen")
+    eigen = worst.pop("eigenstructure")
     ok = all(v <= 1e-9 for v in worst.values())
     return ({"id": "C2", "name": "identity battery", "pass": bool(ok),
              "details": dict(worst)},
@@ -173,9 +162,7 @@ def criterion_jet_ranks():
         s = random_polynomial_sode(n, seed=900 + n)
         p = sample_points(s.vars, 1, seed=20 + n)[0]
         rank, svals = distribution_span(n, s, p, seed=30 + n)
-        gap = float(svals[expected_rank - 1] / svals[expected_rank]) \
-            if len(svals) > expected_rank and svals[expected_rank] > 0 \
-            else float("inf")
+        gap = svd_gap(svals, expected_rank)
         kernel = curvature_kernel_dim(s, p)
         details[f"rank_n{n}"] = rank
         details[f"gap_n{n}"] = gap

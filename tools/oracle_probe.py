@@ -4,9 +4,10 @@
 
 Builds `random_polynomial_sode(N, seed=3000)` and 50 sample points (seed 1)
 with this checkout's `src/`, runs the four oracle calls of `chernsode
-verify` in its order in this one process, and prints one row per residual
-(like `verify`, it reports item (4) of `verify_characterization` also as
-`torsion_oracle`, on that call's row), with the columns
+verify` in the order of `chern.verify_residuals` in this one process, and
+prints one row per residual (like `verify`, it reports item (4) of
+`verify_characterization` also as `torsion_oracle`, on that call's row),
+with the columns
 
     oracle  seconds  plan_s  diff_s  operations  programs  diff_lookups
     diff_misses  maxrss_mib  residual-key  residual  tolerance
@@ -29,9 +30,8 @@ derivatives no earlier request had built (or that the LRU had evicted).
 `maxrss_mib` is the peak resident set size of the process (`ru_maxrss`)
 after the oracle, in MiB: the first row that shows the final value names
 the oracle that set the peak.  The script exits 1 when a residual is not
-finite or exceeds the `verify` tolerance of its key
-(`cli.DEFAULT_TOLERANCES`: "oracle" for keys naming an oracle, "identity"
-for the others), and 0 otherwise.
+finite or exceeds the `verify` tolerance of its key in
+`cli.DEFAULT_TOLERANCES` (`cli.residual_limit`), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from chernsode import chern, expressions, sode  # noqa: E402
-from chernsode.cli import DEFAULT_TOLERANCES  # noqa: E402
+from chernsode.cli import DEFAULT_TOLERANCES, residual_limit  # noqa: E402
 from chernsode.sode import random_polynomial_sode, sample_points  # noqa: E402
 
-# the oracle calls of `cli.task_verify`, in its order, with their residual
-# keys
+# the oracle calls of `chern.verify_residuals`, in its order, with their
+# residual keys
 ORACLES = (
     ("verify_structure_identities", None),
     ("verify_characterization", "characterization_{}"),
@@ -123,8 +123,7 @@ def main(argv=None) -> int:
         else:
             rows = [(key, result)]
         for label, value in rows:
-            tol = DEFAULT_TOLERANCES["oracle" if "oracle" in label
-                                     else "identity"]
+            tol = residual_limit(label, DEFAULT_TOLERANCES)
             failed += not (math.isfinite(value) and value <= tol)
             print(f"{name:28s} {seconds:8.3f} {counts['plan_s']:8.3f} "
                   f"{counts['diff_s']:8.3f} {counts['operations']:10d} "
