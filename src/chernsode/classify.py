@@ -310,43 +310,33 @@ def kosambi_invariants(s: SodeSystem) -> KosambiData:
 # first prolongation of the structure algebra
 # --------------------------------------------------------------------------
 
+def _prolongation_dim(basis) -> int:
+    """Dimension of the first prolongation of the span g of the (k, d, d)
+    basis matrices G_k: the maps e_a -> T_a = sum_k c[a, k] G_k with
+    T_a e_b = T_b e_a for a < b, counted as d*k minus the rank of that
+    system in the unknowns c (the basis must be linearly independent)."""
+    G = np.asarray(basis, dtype=float)
+    k, d, _ = G.shape
+    rows = []
+    for a, b in combinations(range(d), 2):
+        # row[i, e, j]: the coefficient of c[e, j] in (T_a e_b - T_b e_a)_i
+        row = np.zeros((d, d, k))
+        row[:, a] = G[:, :, b].T
+        row[:, b] = -G[:, :, a].T
+        rows.append(row.reshape(d, d * k))
+    rank, _ = numeric_rank(rows)
+    return d * k - rank
+
+
 def first_prolongation_dim(n: int) -> int:
-    """Nullity of the linear system cutting out symmetric V* (x) V* (x) V
-    tensors whose slices lie in the block-embedded gl(n): expected 0."""
+    """Dimension of the first prolongation of the block-embedded gl(n),
+    spanned by diag(0, E_ij, E_ij) in gl(2n+1): expected 0."""
     if not 1 <= n <= 4:
         raise ValueError("supported for 1 <= n <= 4; the answer is n-independent")
-    dim = 2 * n + 1
-    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
-    col = {(a, b, g): (pairs.index((min(a, b), max(a, b))) * dim + g)
-           for a in range(dim) for b in range(dim) for g in range(dim)}
-    unknowns = len(pairs) * dim
-
-    rows = []
-
-    def constrain(coeffs):
-        row = np.zeros(unknowns)
-        for key, c in coeffs:
-            row[col[key]] += c
-        rows.append(row)
-
-    lo = range(1, n + 1)
-    hi = range(n + 1, 2 * n + 1)
-    for a in range(dim):
-        for g in range(dim):
-            constrain([((a, 0, g), 1.0)])              # kills column 0
-        for b in range(1, dim):
-            constrain([((a, b, 0), 1.0)])              # kills row 0 output
-        for b in lo:
-            for g in hi:
-                constrain([((a, b, g), 1.0)])          # off-diagonal block
-        for b in hi:
-            for g in lo:
-                constrain([((a, b, g), 1.0)])
-        for b in lo:
-            for g in lo:
-                constrain([((a, b, g), 1.0), ((a, b + n, g + n), -1.0)])
-    rank, _ = numeric_rank(rows)
-    return unknowns - rank
+    E = np.eye(n * n).reshape(n * n, n, n)
+    basis = np.zeros((n * n, 2 * n + 1, 2 * n + 1))
+    basis[:, 1:n + 1, 1:n + 1] = basis[:, n + 1:, n + 1:] = E
+    return _prolongation_dim(basis)
 
 
 # --------------------------------------------------------------------------

@@ -366,6 +366,12 @@ def residual_limit(key, tolerances):
     return tolerances["oracle" if "oracle" in key else "identity"]
 
 
+def _checks(residuals, tolerances):
+    """The report entry of each residual, gated by `residual_limit`."""
+    return {key: _residual_entry(val, residual_limit(key, tolerances))
+            for key, val in residuals.items()}
+
+
 def _point(p):
     return [p.t, list(p.x), list(p.v)]
 
@@ -401,8 +407,7 @@ def task_analyze(problem: Problem) -> dict:
                 np.asarray(kos.charpoly, dtype=object), s, pts),
         },
         "holonomy_span_per_point": holonomy_spans(s, pts, tol["rank"]),
-        "checks": {key: _residual_entry(val, residual_limit(key, tol))
-                   for key, val in checks.items()},
+        "checks": _checks(checks, tol),
     }
     report["pass"] = all(c["pass"] for c in report["checks"].values())
     return report
@@ -440,10 +445,8 @@ def task_classify(problem: Problem) -> dict:
     # a span that could not be computed at some point fails the report
     passed = rep.holonomy_span_dim is not None
     if rep.orthogonal_residuals is not None:
-        tol = problem.tolerances["identity"]
-        report["orthogonal_residuals"] = {
-            key: _residual_entry(val, tol)
-            for key, val in rep.orthogonal_residuals.items()}
+        report["orthogonal_residuals"] = _checks(rep.orthogonal_residuals,
+                                                 problem.tolerances)
         passed = passed and all(
             c["pass"] for c in report["orthogonal_residuals"].values())
     report["pass"] = bool(passed)
@@ -500,7 +503,6 @@ def task_push(problem: Problem) -> dict:
         _on_samples(auto.validate, pts)
     except ValueError as exc:   # a singular Jacobian or a failed round trip
         raise CliInputError("ValueError", str(exc), "automorphism") from None
-    tol = problem.tolerances["identity"]
     res = _on_samples(lambda ps: verify_functoriality(auto, s, ps), pts)
     report = {
         "matched_points": _on_samples(lambda ps: [
@@ -508,8 +510,7 @@ def task_push(problem: Problem) -> dict:
              "pushed": _point(prolong1(auto, p)),
              "pushed_value": push_sode_value(auto, s, p).tolist()}
             for p in ps], pts),
-        "residuals": {key: _residual_entry(val, tol)
-                      for key, val in res.items()},
+        "residuals": _checks(res, problem.tolerances),
     }
     if auto.inverse is not None:
         pushed = push_sode_symbolic(auto, s)
@@ -544,7 +545,6 @@ def task_jets(problem: Problem) -> dict:
             s, random_polynomial_field(s.vars, seed=9000 + k, degree=3),
             pts[k % len(pts)])
         for k in range(10)])
-    tol = problem.tolerances["identity"]
     prolongation_dim = first_prolongation_dim(min(n, 4))
     report = {
         "distribution_rank": {"rank": rank, "expected": expected,
@@ -552,7 +552,7 @@ def task_jets(problem: Problem) -> dict:
                               "pass": bool(rank == expected)},
         "curvature_kernel": {"dim": kernel, "expected": kernel_expected,
                              "pass": bool(kernel == kernel_expected)},
-        "equivariance": _residual_entry(equiv, tol),
+        **_checks({"equivariance": equiv}, problem.tolerances),
         "first_prolongation": {"dim": prolongation_dim,
                                "pass": bool(prolongation_dim == 0)},
     }
@@ -571,7 +571,6 @@ def task_riemann(problem: Problem) -> dict:
         raise CliInputError("validation", "riemann needs a metric", "metric")
     metric = problem.metric
     pts = problem.points
-    tol = problem.tolerances
     try:
         cross = cross_check(metric, points=pts)
         compat = metric_compatibility(metric, points=pts)
@@ -581,10 +580,8 @@ def task_riemann(problem: Problem) -> dict:
     spray = geodesic_spray(metric)
     report = {
         "spray": [to_string(f) for f in spray.F],
-        "cross_formulas": {key: _residual_entry(val, tol["identity"])
-                           for key, val in cross.items()},
-        "metric_compatibility": {key: _residual_entry(val, tol["identity"])
-                                 for key, val in compat.items()},
+        "cross_formulas": _checks(cross, problem.tolerances),
+        "metric_compatibility": _checks(compat, problem.tolerances),
         "companion_signature": list(signature),
     }
     report["pass"] = (all(c["pass"] for c in report["cross_formulas"].values())
@@ -646,16 +643,6 @@ def run_selftest() -> dict:
             "pass": all(r["pass"] for r in results)}
 
 
-def _task_errors() -> tuple:
-    """SingularMetric (riemann) and MissingInverse (natjets), each only when
-    its module is loaded: a module never loaded raised nothing.  main's
-    handler calls this only once an exception reaches it."""
-    return tuple(getattr(sys.modules[module], name) for module, name in
-                 ((f"{__package__}.riemann", "SingularMetric"),
-                  (f"{__package__}.natjets", "MissingInverse"))
-                 if module in sys.modules)
-
-
 def main(argv=None) -> int:
     import argparse
     parser = argparse.ArgumentParser(
@@ -685,7 +672,7 @@ def main(argv=None) -> int:
         except (ParseError, UnknownIdentifier) as exc:
             raise CliInputError("syntax", str(exc)) from None
         except (DomainError, ZeroDivisionError, OracleMismatch, ValueError,
-                MemoryError, *_task_errors()) as exc:
+                MemoryError) as exc:
             kind = "DomainError" if isinstance(exc, ZeroDivisionError) \
                 else "MemoryError" if isinstance(exc, MemoryError) \
                 else type(exc).__name__

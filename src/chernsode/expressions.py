@@ -1233,6 +1233,6 @@ def compile_expr(e: Expr, names):
     return _compile(e, tuple(names))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def _compile(e: Expr, names: tuple):
     return _Program(e, names)

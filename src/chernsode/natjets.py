@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-class MissingInverse(Exception):
+class MissingInverse(ValueError):
     """Operation needs the symbolic inverse of the automorphism."""
 
 

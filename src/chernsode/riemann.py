@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-class SingularMetric(Exception):
+class SingularMetric(ValueError):
     """Metric determinant vanished symbolically or at a sample point."""
 
 
