@@ -345,11 +345,17 @@ class Problem:
 # tasks
 # --------------------------------------------------------------------------
 
+def _finite_or_null(vals):
+    """Float array -> nested lists; a value that is not finite reads null,
+    as in `_residual_entry`."""
+    return np.where(np.isfinite(vals), vals, None).tolist()
+
+
 def _array_values(arr, s, points):
     """Expr array -> nested lists with a trailing per-point axis; a value
     that is not finite reads null, as in `_residual_entry`."""
     vals = eval_array(arr, s.vars.names, point_batch(s.vars, points))
-    return np.where(np.isfinite(vals), vals, None).tolist()
+    return _finite_or_null(vals)
 
 
 def _residual_entry(val, tol, **extra):
@@ -508,7 +514,7 @@ def task_push(problem: Problem) -> dict:
         "matched_points": _on_samples(lambda ps: [
             {"source": _point(p),
              "pushed": _point(prolong1(auto, p)),
-             "pushed_value": push_sode_value(auto, s, p).tolist()}
+             "pushed_value": _finite_or_null(push_sode_value(auto, s, p))}
             for p in ps], pts),
         "residuals": _checks(res, problem.tolerances),
     }

@@ -237,8 +237,7 @@ def _coerce(x):
 # smart constructors (cheap local folding only; canonical form is simplify's job)
 # --------------------------------------------------------------------------
 
-def const(value) -> Const:
-    return _coerce(value)  # type: ignore[return-value]
+const = _coerce
 
 
 def var(name: str) -> Var:
@@ -1122,15 +1121,6 @@ def _plan(roots, names):
                   for (count, top), drop in zip(segments, gone + [()])))
 
 
-def _registers(plan, values, load):
-    """The leaf registers of a plan, each variable loaded from `values`."""
-    leaves, loads = plan[:2]
-    regs, it = list(leaves), iter(loads)
-    for r in it:
-        regs[r] = load(values[next(it)])
-    return regs
-
-
 def _run(regs, it, count, ops):
     """Run the next `count` instructions of the code iterator `it` with
     `ops`, appending each value to `regs`.  With the `_INTO` operations an
@@ -1152,8 +1142,12 @@ def _walk(plan, values, load, ops):
     """Run a plan on `values` (aligned with the names it was made over) and
     yield the value of each root; a value is dropped after the yield of the
     last segment that reads it."""
-    regs, it = _registers(plan, values, load), iter(plan[2])
-    for count, top, gone in plan[3]:
+    leaves, loads, code, segments = plan
+    regs, it = list(leaves), iter(loads)
+    for r in it:
+        regs[r] = load(values[next(it)])
+    it = iter(code)
+    for count, top, gone in segments:
         _run(regs, it, count, ops)
         yield regs[top]
         for r in gone:
@@ -1195,12 +1189,7 @@ class _Program:
     def __call__(self, values, table=_BATCH):
         if self._plan is None:
             self._plan = _plan((self.expr,), self.names)
-        # one segment: what _walk does, without the cost of its generator
-        load, ops = table
-        regs = _registers(self._plan, values, load)
-        (count, top, _), = self._plan[3]
-        _run(regs, iter(self._plan[2]), count, ops)
-        return regs[top]
+        return next(_walk(self._plan, values, *table))
 
 
 def _float(q):

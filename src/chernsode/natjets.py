@@ -67,7 +67,7 @@ class JetSpace:
         self.vars = vars
         n = vars.n
         self.n = n
-        self.base = (vars.time,) + tuple(vars.positions) + tuple(vars.velocities)
+        self.base = vars.names
         self.dirs = self.base  # derivative directions, canonical order
         self.values = tuple(f"a{i + 1}" for i in range(n))
         self.first = {(i, d): f"a{i + 1}_{d}"
@@ -76,9 +76,10 @@ class JetSpace:
         for i in range(n):
             for c1, c2 in itertools.combinations_with_replacement(self.dirs, 2):
                 self.second[(i, c1, c2)] = f"a{i + 1}_{c1}{c2}"
-        names = self.base + tuple(self.first.values()) \
-            + tuple(self.second.values()) + self.values
-        if len(set(names)) != len(names):
+        self.fiber = self.values + tuple(self.first.values()) \
+            + tuple(self.second.values())
+        self.all_coords = self.base + self.fiber
+        if len(set(self.all_coords)) != len(self.all_coords):
             raise ValueError(
                 "variable names make jet coordinate names collide; rename them")
 
@@ -86,19 +87,6 @@ class JetSpace:
         if (i, d1, d2) in self.second:
             return self.second[(i, d1, d2)]
         return self.second[(i, d2, d1)]
-
-    @property
-    def fiber(self):
-        out = list(self.values)
-        for i in range(self.n):
-            out.extend(self.first[(i, d)] for d in self.dirs)
-        for i in range(self.n):
-            out.extend(self.second[key] for key in self.second if key[0] == i)
-        return tuple(out)
-
-    @property
-    def all_coords(self):
-        return self.base + self.fiber
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

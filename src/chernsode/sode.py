@@ -148,8 +148,7 @@ class SodeSystem:
 
     @property
     def coords(self):
-        return (self.vars.time,) + tuple(self.vars.positions) \
-            + tuple(self.vars.velocities)
+        return self.vars.names
 
 
 @dataclass(frozen=True)
@@ -199,8 +198,7 @@ class TorsionTensor:
 # small symbolic-matrix helpers shared by the geometry modules
 # --------------------------------------------------------------------------
 
-def as_expr(x) -> Expr:
-    return x if isinstance(x, Expr) else const(x)
+as_expr = const
 
 
 def check_dependence(exprs, allowed, message):
@@ -533,14 +531,12 @@ def endomorphism_E(s: SodeSystem) -> np.ndarray:
     frame = frame_symbolic(s)
     coframe = coframe_symbolic(s)
     M = expr_array((2 * n + 1, 2 * n + 1))
-    for i in range(n):
-        vert = expr_array(2 * n + 1)
-        vert[1 + n + i] = const(1)
-        for r in range(2 * n + 1):
-            for c in range(2 * n + 1):
-                M[r, c] = add(M[r, c],
-                              mul(vert[r], coframe[1 + i, c]),
-                              mul(frame[r, 1 + i], coframe[1 + n + i, c]))
+    for r in range(2 * n + 1):       # d/dv^i is the frame's column 1+n+i
+        for c in range(2 * n + 1):
+            M[r, c] = add(*chain.from_iterable(
+                (mul(frame[r, 1 + n + i], coframe[1 + i, c]),
+                 mul(frame[r, 1 + i], coframe[1 + n + i, c]))
+                for i in range(n)))
     return M
 
 
