@@ -931,14 +931,25 @@ def substitute(e: Expr, mapping) -> Expr:
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
+def _digits(k):
+    """Decimal text of the int k.  Past the digit limit of `str` (4,300 by
+    default) it goes through `Decimal`, which has none but takes about three
+    times as long, so only there."""
+    try:
+        return str(k)
+    except ValueError:
+        return format(Decimal(k), "f")
+
+
 def _render(e, args):
     """(text, precedence of the outermost construct) of e, from those of its
     operands."""
     if isinstance(e, Const):
         v = e.value
         if v.denominator == 1:
-            return (str(v.numerator), _PREC_ATOM if v >= 0 else _PREC_UNARY)
-        return (f"{v.numerator}/{v.denominator}", _PREC_MUL if v >= 0 else _PREC_UNARY)
+            return (_digits(v.numerator), _PREC_ATOM if v >= 0 else _PREC_UNARY)
+        return (f"{_digits(v.numerator)}/{_digits(v.denominator)}",
+                _PREC_MUL if v >= 0 else _PREC_UNARY)
     if isinstance(e, Var):
         return (e.name, _PREC_ATOM)
     if isinstance(e, Call):

@@ -36,7 +36,7 @@ from .expressions import (
 from .sode import (
     HALF, QUARTER, JetPoint1, SodeSystem, TorsionTensor, as_expr,
     check_dependence, directional, eval_array, expr_array, monomials,
-    numeric_rank, worst_abs, _diff, _jacobian,
+    numeric_rank, seeded, worst_abs, _diff, _jacobian,
 )
 from .chern import connection
 
@@ -299,14 +299,15 @@ class UJet:
         coefficients are integers in [-8, 8] over 8, as in
         random_polynomial_field; the (i, combo) entry is alpha! c_{i,alpha},
         and 0 where |alpha| > degree."""
-        rng = np.random.default_rng(seed)
         scale = np.array([
             math.prod(math.factorial(combo.count(d)) for d in set(combo))
             if len(combo) <= degree else 0
             for (_, combo) in self.index])
         kept = scale > 0
+        width = int(kept.sum())
         out = np.zeros((count, len(scale)))
-        out[:, kept] = rng.integers(-8, 9, size=(count, int(kept.sum()))) / 8.0
+        out[:, kept] = seeded(seed, count * width).integers(
+            -8, 9, size=(count, width)) / 8.0
         return out * scale
 
     def substitution_for(self, u):
@@ -490,7 +491,7 @@ def infinitesimal_equivariance(s: SodeSystem, u, p: JetPoint1):
 
 def random_polynomial_field(vars, seed, degree=4):
     """Random polynomial u^i(t, x) of total degree <= degree."""
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     monos = monomials((vars.time,) + tuple(vars.positions), degree)
     u = []
     for _ in range(vars.n):
@@ -640,7 +641,7 @@ def random_automorphism(vars, seed) -> VerticalAutomorphism:
     maps invert exactly by back-substitution, so the result is a global
     polynomial automorphism with a polynomial inverse and Jacobian
     determinant identically 1."""
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     n = vars.n
 
     def poly(names):

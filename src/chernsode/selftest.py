@@ -15,7 +15,7 @@ from .expressions import (
     richardson, simplify, substitute,
 )
 from .sode import (
-    SodeSystem, max_abs, random_polynomial_sode, sample_points,
+    SodeSystem, max_abs, random_polynomial_sode, sample_points, seeded,
     splitting_curvature, worst_abs, zero_symbolically, _jacobian,
 )
 from .chern import connection, verify_residuals, verify_structure_identities
@@ -266,11 +266,11 @@ def criterion_fd_oracle(points_per=20):
     """C11: symbolic derivatives agree with the finite-difference oracle
     (central differences with one Richardson step) to relative 1e-6 on a
     pool of at least 200 expressions in actual use."""
-    rng = np.random.default_rng(99)
-    pool = _expression_pool()
+    pool = [(e, sorted(free_variables(e))) for e in _expression_pool()]
+    # one variable index and points_per values per variable for each
+    rng = seeded(99, sum(1 + points_per * len(names) for _, names in pool))
     relative = []
-    for e in pool:
-        names = sorted(free_variables(e))
+    for e, names in pool:
         name = names[int(rng.integers(0, len(names)))]
         col = names.index(name)
         fn = compile_expr(e, names)

@@ -427,7 +427,8 @@ def sample_points(vars: VarSet, count, seed, box=None) -> JetPoints:
         raise ValueError("jet point components must be finite")
     # one (t, x, v) row per point: the doubles, in the order, that one
     # rng.uniform call per role and point would draw
-    rows = lo + width * np.random.default_rng(seed).random((count, 2 * n + 1))
+    rows = lo + width * seeded(seed, count * (2 * n + 1)).random(
+        (count, 2 * n + 1))
     return JetPoints(rows)
 
 
@@ -615,6 +616,143 @@ def splitting_curvature(s: SodeSystem, check="numeric",
 
 
 # --------------------------------------------------------------------------
+# seeded draws
+# --------------------------------------------------------------------------
+
+# A stream that will draw at most this many values is drawn by _Pcg64, at
+# about 0.5 us a value; a longer one by numpy's Generator, whose import costs
+# about 9 ms and 6.1 MiB of resident memory in the process that loads it.
+_PORT_DRAWS = 2 ** 15
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed):
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64) for an int
+    seed >= 0: its 32-bit words, least significant first, hashed into a pool
+    of four and drawn out as eight words, paired into four 64-bit ones."""
+    entropy = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    mult = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _M32
+        value = value * mult & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult, words = 0x8B51F9DD, []
+    for k in range(8):
+        value = pool[k % 4] ^ mult
+        mult = mult * 0x58F38DED & _M32
+        value = value * mult & _M32
+        words.append(value ^ value >> 16)
+    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+class _Pcg64:
+    """The stream of numpy's Generator on a PCG64 seeded by an int >= 0,
+    value for value: a 128-bit LCG stepped before each 64-bit XSL-RR output
+    (O'Neill 2014, HMC-CS-2014-0905), which NumPy keeps stable (NEP 19).
+    `random` and `uniform` take the top 53 bits of one output per value;
+    `integers` draws 32-bit words, the low half of an output and then its
+    high half, which waits for the next call when a call ends between them,
+    and keeps each word that Lemire's rejection accepts.  Scalars come back
+    as Python numbers, `size=` fills as float64 or int64 arrays."""
+
+    def __init__(self, seed):
+        s0, s1, i0, i1 = _seed_words(seed)
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+        self._state = (self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc \
+            & _M128
+        self._half = None
+
+    def _outputs(self, count):
+        """The next `count` outputs."""
+        state, inc, out = self._state, self._inc, []
+        for _ in range(count):
+            state = (state * _PCG_MULT + inc) & _M128
+            x = (state ^ state >> 64) & _M64
+            out.append((x << 64 | x) >> (state >> 122) & _M64)
+        self._state = state
+        return out
+
+    def _doubles(self, count):
+        """The next `count` doubles in [0, 1), one output each."""
+        return [(out >> 11) * 2.0 ** -53 for out in self._outputs(count)]
+
+    def _words(self, count):
+        """The next `count` 32-bit words."""
+        words = [] if self._half is None else [self._half]
+        for out in self._outputs((count - len(words) + 1) // 2):
+            words += (out & _M32, out >> 32)
+        self._half = words.pop() if len(words) > count else None
+        return words
+
+    @staticmethod
+    def _fill(size, values, dtype=np.float64):
+        """One value of `values(count)` when size is None, else an array of
+        shape `size` (numpy's errors for a bad one)."""
+        if size is None:
+            return values(1)[0]
+        shape = np.empty(size, np.int8).shape
+        return np.array(values(math.prod(shape)), dtype).reshape(shape)
+
+    def random(self, size=None):
+        return self._fill(size, self._doubles)
+
+    def uniform(self, low, high, size=None):
+        width = high - low
+        return self._fill(size, lambda count: [
+            low + width * u for u in self._doubles(count)])
+
+    def integers(self, low, high, size=None):
+        span = high - 1 - low
+        if span < 0:
+            raise ValueError("high <= 0" if low == 0 else "low >= high")
+        if span > _M32:
+            raise ValueError(f"integers: a span of {span + 1} values is "
+                             "wider than 32 bits")
+        excl, threshold = span + 1, (1 << 32) % (span + 1)
+
+        def values(count):
+            if span == 0:
+                return [low] * count
+            out = []
+            while len(out) < count:
+                out += [low + (m >> 32) for w in self._words(count - len(out))
+                        if (m := w * excl) & _M32 >= threshold]
+            return out
+        return self._fill(size, values, np.int64)
+
+
+def seeded(seed, draws=0):
+    """The stream of `np.random.default_rng(seed)`.  A caller that will
+    draw more than _PORT_DRAWS values, or a seed that is not an int >= 0,
+    gets numpy's Generator; any other gets _Pcg64, which draws the same
+    values, so a process that draws few loads no `numpy.random`."""
+    if draws > _PORT_DRAWS or not (isinstance(seed, int) and seed >= 0):
+        return np.random.default_rng(seed)
+    return _Pcg64(seed)
+
+
+# --------------------------------------------------------------------------
 # seeded polynomial systems for batteries and the selftest
 # --------------------------------------------------------------------------
 
@@ -633,7 +771,7 @@ def random_polynomial_sode(n, seed, density=0.25) -> SodeSystem:
     time.  Each component keeps one cubic-in-v, one mixed x*v and
     one t*v monomial so every derivative order in the component formulas is
     exercised."""
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     vars = VarSet.default(n)
     v_monos = monomials(vars.velocities, 3)
     x_monos = monomials(vars.positions, 2)
